@@ -4,23 +4,23 @@
 //!
 //! The paper compares organizations on one fixed device (the flat
 //! Table I DRAMs). This module makes both axes first-class: every
-//! design column is an `(organization, device)` pair, the device rides
-//! in the sweep-point key (`"mcf::MemCache@50@tldram"`), and the grid
+//! design column is an `(organization, device)` pair, carried on the
+//! sweep point itself and labelled in its key
+//! (`"mcf::MemCache@50@tldram"`), and the grid
 //! ranks all columns by their overall geometric mean — the answer to
 //! "which design wins, and does tiering the stacked die change it?".
 
 use std::collections::BTreeMap;
 
-use cameo_sim::checkpoint::PointRecord;
-use cameo_sim::experiments::{build_org_on, build_org_traced_on, gmean, OrgKind};
-use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport};
+use cameo_sim::experiments::{gmean, OrgKind};
+use cameo_sim::harness::{SweepPoint, SweepReport};
 use cameo_sim::report::Table;
-use cameo_sim::trace::{SharedSink, TraceOptions};
+use cameo_sim::trace::TraceOptions;
 use cameo_sim::RunStats;
 use cameo_types::DeviceKind;
 use cameo_workloads::BenchSpec;
 
-use crate::Cli;
+use crate::{run_grid, Cli};
 
 /// One column of the design-comparison sweep: an organization on a
 /// device model.
@@ -62,19 +62,9 @@ pub fn designs() -> Vec<DesignPoint> {
     all
 }
 
-/// Recovers the device axis from a design sweep-point key: the suffix
-/// after the last `@` (`"mcf::MemCache@50@tldram"` → tiered). Keys
-/// without a device suffix — the `"<bench>::#base"` baseline — run on
-/// the flat devices.
-pub fn device_of_key(key: &str) -> DeviceKind {
-    key.rsplit_once('@')
-        .and_then(|(_, label)| DeviceKind::parse(label))
-        .unwrap_or_default()
-}
-
 /// The design sweep's point set: per benchmark, the flat baseline under
-/// `"<bench>::#base"` followed by every design column under its
-/// device-encoded key `"<bench>::<org>@<device>"`.
+/// `"<bench>::#base"` followed by every design column on its device,
+/// keyed `"<bench>::<org>@<device>"`.
 pub fn sweep_points(benches: &[BenchSpec], designs: &[DesignPoint]) -> Vec<SweepPoint> {
     let mut points = Vec::with_capacity(benches.len() * (designs.len() + 1));
     for bench in benches {
@@ -85,6 +75,7 @@ pub fn sweep_points(benches: &[BenchSpec], designs: &[DesignPoint]) -> Vec<Sweep
         for design in designs {
             points.push(
                 SweepPoint::new(bench.name, design.kind)
+                    .with_device(design.device)
                     .with_key(format!("{}::{}", bench.name, design.label())),
             );
         }
@@ -126,48 +117,8 @@ impl DesignGrid {
             designs.len(),
             cli.jobs.max(1),
         );
-        let opts = SweepOptions {
-            config: cli.config,
-            max_attempts: 1,
-            jobs: cli.jobs,
-            chunk_accesses: cli.chunk,
-            ..SweepOptions::default()
-        };
-        let traced = cli.trace_out.is_some();
-        let report = run_sweep_traced_with(&points, &opts, None, &|point, config| {
-            let bench = cameo_workloads::require(&point.bench)
-                .expect("sweep_points draws benchmarks from the Table II suite");
-            let device = device_of_key(&point.key);
-            if traced {
-                let sink = SharedSink::new(TraceOptions::default());
-                let org = build_org_traced_on(&bench, point.kind, device, config, sink.clone());
-                (org, Some(sink))
-            } else {
-                (build_org_on(&bench, point.kind, device, config), None)
-            }
-        })
-        .unwrap_or_else(|e| panic!("design sweep failed before any checkpointing: {e}"));
-
-        let mut outcomes = report.outcomes.iter();
-        let mut take = || {
-            let outcome = outcomes
-                .next()
-                .expect("the report has one outcome per submitted point");
-            match &outcome.record {
-                PointRecord::Done { stats, .. } => (**stats).clone(),
-                PointRecord::Failed { error, .. } => {
-                    panic!("design point {} failed: {error}", outcome.point.key)
-                }
-            }
-        };
-        let mut baselines = BTreeMap::new();
-        let mut runs = BTreeMap::new();
-        for bench in &cli.benches {
-            let base = take();
-            let row: Vec<RunStats> = designs.iter().map(|_| take()).collect();
-            baselines.insert(bench.name.to_owned(), base);
-            runs.insert(bench.name.to_owned(), row);
-        }
+        let (baselines, runs, report) =
+            run_grid(&points, designs.len(), cli, TraceOptions::default(), &|_| None);
         Self {
             designs: designs.to_vec(),
             baselines,
@@ -302,17 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn device_recovers_from_keys() {
-        assert_eq!(device_of_key("mcf::CAMEO@tldram"), DeviceKind::TlDram);
-        assert_eq!(device_of_key("mcf::MemCache@50@flat"), DeviceKind::Flat);
-        assert_eq!(
-            device_of_key("mcf::MemCache@75@tldram"),
-            DeviceKind::TlDram
-        );
-        assert_eq!(device_of_key("mcf::#base"), DeviceKind::Flat);
-    }
-
-    #[test]
     fn point_set_is_baseline_plus_columns() {
         let benches = vec![cameo_workloads::require("mcf").expect("suite benchmark")];
         let points = sweep_points(&benches, &designs());
@@ -321,5 +261,10 @@ mod tests {
         assert_eq!(points[1].key, "mcf::CAMEO@flat");
         assert_eq!(points[2].key, "mcf::CAMEO@tldram");
         assert_eq!(points[12].key, "mcf::MemCache@75@tldram");
+        // The device rides on the point; the key only labels it.
+        assert_eq!(points[0].device, DeviceKind::Flat, "the baseline runs flat");
+        for (point, design) in points[1..].iter().zip(designs()) {
+            assert_eq!((point.kind, point.device), (design.kind, design.device));
+        }
     }
 }

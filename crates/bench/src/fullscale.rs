@@ -110,7 +110,7 @@ pub fn epochs_dir(trace_out: &Path) -> PathBuf {
 /// each sweep point gets its own JSONL writer under
 /// [`epochs_dir`]`(trace_out)`, so epochs evicted from the bounded
 /// retention ring reach disk incrementally instead of accumulating in the
-/// sink (see `cameo_sim::harness::run_sweep_traced_spilling`). Retries of
+/// sink (see `cameo_sim::harness::run_sweep_traced`). Retries of
 /// a point recreate (truncate) its file, keeping attempts unmixed.
 ///
 /// # Errors

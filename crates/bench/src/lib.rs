@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use cameo_sim::checkpoint::PointRecord;
 use cameo_sim::experiments::{gmean, OrgKind};
 use cameo_sim::harness::{
-    run_sweep, run_sweep_traced_spilling, EpochSpillFactory, SweepOptions, SweepPoint, SweepReport,
+    run_sweep, run_sweep_traced, EpochSpillFactory, SweepOptions, SweepPoint, SweepReport,
 };
 use cameo_sim::report::Table;
 use cameo_sim::trace::TraceOptions;
@@ -199,6 +199,68 @@ impl Cli {
     }
 }
 
+/// Per-benchmark baseline stats and per-benchmark rows of column stats,
+/// as [`run_grid`] splits them out of a finished sweep.
+type GridRuns = (
+    BTreeMap<String, RunStats>,
+    BTreeMap<String, Vec<RunStats>>,
+    SweepReport,
+);
+
+/// Runs a grid sweep through the default sweep path across [`Cli::jobs`]
+/// workers: `points` holds, per benchmark of `cli` and in that order, one
+/// baseline point followed by `columns` column points. `--trace-out` arms
+/// per-point recording sinks (spilling epochs through `spill`); results
+/// are bit-identical either way (the harness guarantees report equality).
+///
+/// # Panics
+///
+/// Panics if any point fails — figure binaries want broken points loud,
+/// not silently missing columns.
+fn run_grid(
+    points: &[SweepPoint],
+    columns: usize,
+    cli: &Cli,
+    trace_opts: TraceOptions,
+    spill: &EpochSpillFactory<'_>,
+) -> GridRuns {
+    let opts = SweepOptions {
+        config: cli.config,
+        max_attempts: 1,
+        jobs: cli.jobs,
+        chunk_accesses: cli.chunk,
+        ..SweepOptions::default()
+    };
+    let report = if cli.trace_out.is_some() {
+        run_sweep_traced(points, &opts, None, trace_opts, spill)
+    } else {
+        run_sweep(points, &opts, None)
+    }
+    .unwrap_or_else(|e| panic!("sweep failed before any checkpointing: {e}"));
+
+    let mut outcomes = report.outcomes.iter();
+    let mut take = || {
+        let outcome = outcomes
+            .next()
+            .expect("the report has one outcome per submitted point");
+        match &outcome.record {
+            PointRecord::Done { stats, .. } => (**stats).clone(),
+            PointRecord::Failed { error, .. } => {
+                panic!("design point {} failed: {error}", outcome.point.key)
+            }
+        }
+    };
+    let mut baselines = BTreeMap::new();
+    let mut runs = BTreeMap::new();
+    for bench in &cli.benches {
+        let base = take();
+        let row: Vec<RunStats> = (0..columns).map(|_| take()).collect();
+        baselines.insert(bench.name.to_owned(), base);
+        runs.insert(bench.name.to_owned(), row);
+    }
+    (baselines, runs, report)
+}
+
 /// All per-benchmark runs of one experiment: `results[bench][kind]`.
 pub struct SpeedupGrid {
     /// The organizations compared, in column order.
@@ -263,42 +325,7 @@ impl SpeedupGrid {
             kinds.len() + 1,
             cli.jobs.max(1),
         );
-        let opts = SweepOptions {
-            config: cli.config,
-            max_attempts: 1,
-            jobs: cli.jobs,
-            chunk_accesses: cli.chunk,
-            ..SweepOptions::default()
-        };
-        // `--trace-out` arms the recording sink; results are bit-identical
-        // either way (the harness guarantees report equality).
-        let report = if cli.trace_out.is_some() {
-            run_sweep_traced_spilling(&points, &opts, None, trace_opts, spill)
-        } else {
-            run_sweep(&points, &opts, None)
-        }
-        .unwrap_or_else(|e| panic!("sweep failed before any checkpointing: {e}"));
-
-        let mut outcomes = report.outcomes.iter();
-        let mut take = || {
-            let outcome = outcomes
-                .next()
-                .expect("the report has one outcome per submitted point");
-            match &outcome.record {
-                PointRecord::Done { stats, .. } => (**stats).clone(),
-                PointRecord::Failed { error, .. } => {
-                    panic!("design point {} failed: {error}", outcome.point.key)
-                }
-            }
-        };
-        let mut baselines = BTreeMap::new();
-        let mut runs = BTreeMap::new();
-        for bench in &cli.benches {
-            let base = take();
-            let row: Vec<RunStats> = kinds.iter().map(|_| take()).collect();
-            baselines.insert(bench.name.to_owned(), base);
-            runs.insert(bench.name.to_owned(), row);
-        }
+        let (baselines, runs, report) = run_grid(&points, kinds.len(), cli, trace_opts, spill);
         Self {
             kinds: kinds.to_vec(),
             baselines,

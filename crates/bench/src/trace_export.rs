@@ -413,7 +413,7 @@ mod tests {
             SweepPoint::new("astar", OrgKind::cameo_default()),
             SweepPoint::new("astar", OrgKind::Baseline),
         ];
-        run_sweep_traced(&points, &opts, None, TraceOptions::default())
+        run_sweep_traced(&points, &opts, None, TraceOptions::default(), &|_| None)
             .expect("no checkpoint I/O involved")
     }
 

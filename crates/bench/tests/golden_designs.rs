@@ -1,6 +1,6 @@
 //! Golden-conformance route for `ext_designs`: the binary's exact point
 //! set (the org × device design matrix over the calibration benchmark,
-//! baseline included, under the device-encoded key scheme of
+//! baseline included, each point carrying its device, as built by
 //! `designs::sweep_points`) replayed at the micro configuration and
 //! byte-compared against a checked-in reference.
 //!
@@ -16,11 +16,10 @@
 
 use std::path::PathBuf;
 
-use cameo_bench::designs::{self, device_of_key};
+use cameo_bench::designs;
 use cameo_sim::checkpoint::{render_record, Json};
-use cameo_sim::experiments::build_org_traced_on;
-use cameo_sim::harness::{run_sweep_traced_with, SweepOptions, SweepPoint, SweepReport};
-use cameo_sim::trace::{SharedSink, TraceData, TraceOptions};
+use cameo_sim::harness::{run_sweep_traced, SweepOptions, SweepPoint, SweepReport};
+use cameo_sim::trace::{TraceData, TraceOptions};
 use cameo_sim::SystemConfig;
 
 /// The micro configuration shared with the other golden suites: small
@@ -43,23 +42,17 @@ fn micro() -> SweepOptions {
 }
 
 /// The point set `ext_designs` runs: the flat baseline plus the full
-/// design matrix on the calibration benchmark, under device-encoded keys.
+/// design matrix on the calibration benchmark.
 fn design_points() -> Vec<SweepPoint> {
     let benches = vec![cameo_workloads::require("mcf").expect("suite benchmark")];
     designs::sweep_points(&benches, &designs::designs())
 }
 
-/// Runs the design point set with tracing armed, building each point per
-/// its `(organization, device)` pair exactly as `ext_designs` does.
+/// Runs the design point set with tracing armed, through the default
+/// sweep path `ext_designs` uses.
 fn run_design_sweep(opts: &SweepOptions) -> SweepReport {
-    run_sweep_traced_with(&design_points(), opts, None, &|point, config| {
-        let bench = cameo_workloads::require(&point.bench).expect("suite benchmark");
-        let sink = SharedSink::new(TraceOptions::default());
-        let org =
-            build_org_traced_on(&bench, point.kind, device_of_key(&point.key), config, sink.clone());
-        (org, Some(sink))
-    })
-    .expect("mcf resolves and the micro config is valid")
+    run_sweep_traced(&design_points(), opts, None, TraceOptions::default(), &|_| None)
+        .expect("mcf resolves and the micro config is valid")
 }
 
 /// Event-recording totals rendered as one JSON line (the same shape as

@@ -103,8 +103,14 @@ fn golden_path() -> PathBuf {
 /// The `ext_fullscale` micro-slice is bit-stable at micro scale.
 #[test]
 fn golden_fullscale_conformance() {
-    let report = run_sweep_traced(&fullscale_points(), &micro(), None, TraceOptions::default())
-        .expect("mcf resolves and the micro config is valid");
+    let report = run_sweep_traced(
+        &fullscale_points(),
+        &micro(),
+        None,
+        TraceOptions::default(),
+        &|_| None,
+    )
+    .expect("mcf resolves and the micro config is valid");
     let rendered = render_report(&report);
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use cameo_bench::perf;
 use cameo_sim::experiments::OrgKind;
-use cameo_sim::harness::{run_sweep_traced_spilling, SweepOptions, SweepPoint};
+use cameo_sim::harness::{run_sweep_traced, SweepOptions, SweepPoint};
 use cameo_sim::trace::{EpochSpillFn, TraceOptions};
 use cameo_sim::SystemConfig;
 
@@ -49,7 +49,7 @@ fn rss_stays_flat_while_epochs_stream_out() {
         }))
     };
     let points = [SweepPoint::new("mcf", OrgKind::cameo_default())];
-    run_sweep_traced_spilling(&points, &opts, None, trace_opts, &factory)
+    run_sweep_traced(&points, &opts, None, trace_opts, &factory)
         .expect("mcf resolves and the flatness config is valid");
 
     let samples = samples

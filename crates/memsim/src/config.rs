@@ -118,9 +118,8 @@ impl RefreshParams {
 /// Each bank's rows are split into a small *near* segment close to the
 /// sense amplifiers (shorter bitlines, faster tRCD/tRP/tRAS) and a large
 /// *far* segment behind the isolation transistor. Rows
-/// `0..near_rows_per_bank` of every bank sit in the near segment by
-/// default; [`crate::Dram::promote_row_to_near`] is the placement hook
-/// that moves a hot far row into the near segment's reserved window.
+/// `0..near_rows_per_bank` of every bank sit in the near segment; every
+/// other row is a far row.
 ///
 /// Setting `near == far == DramConfig::timings` makes the tiered device
 /// bit-identical to the flat one (pinned by the `tl_dram_properties`

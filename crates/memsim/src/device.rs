@@ -64,9 +64,6 @@ pub struct Dram {
     next_refresh: Cycle,
     /// End of the current refresh blackout, if one is in progress.
     refresh_until: Cycle,
-    /// Per-bank far rows promoted into the near segment's reserved window
-    /// (FIFO within the window). Empty vectors when the device is flat.
-    promoted_near: Vec<Vec<u64>>,
     stats: DramStats,
 }
 
@@ -78,15 +75,9 @@ impl Dram {
         }
         let banks = vec![Bank::default(); config.total_banks() as usize];
         let bus_free = vec![Cycle::ZERO; config.channels as usize];
-        let promoted_banks = if config.tl_dram.is_some() {
-            config.total_banks() as usize
-        } else {
-            0
-        };
         Self {
             next_refresh: Cycle::new(config.refresh.map_or(u64::MAX, |r| r.t_refi_cpu)),
             refresh_until: Cycle::ZERO,
-            promoted_near: vec![Vec::new(); promoted_banks],
             config,
             banks,
             bus_free,
@@ -148,47 +139,17 @@ impl Dram {
         (channel as usize, bank as usize, row)
     }
 
-    /// Command timings for `row` of bank `bank_idx`: the flat device's
-    /// timings, or the row's segment under tiered latency. The conflict
+    /// Command timings for `row`: the flat device's timings, or the row's
+    /// segment under tiered latency. The conflict
     /// path charges the *accessed* row's segment for precharge too — a
     /// deliberate simplification (the victim row's identity does not
     /// change which bitline the new activation drives).
-    fn segment_timings(&self, bank_idx: usize, row: u64) -> DramTimings {
+    fn segment_timings(&self, row: u64) -> DramTimings {
         match &self.config.tl_dram {
             None => self.config.timings,
-            Some(tl) => {
-                if row < tl.near_rows_per_bank || self.promoted_near[bank_idx].contains(&row) {
-                    tl.near
-                } else {
-                    tl.far
-                }
-            }
+            Some(tl) if row < tl.near_rows_per_bank => tl.near,
+            Some(tl) => tl.far,
         }
-    }
-
-    /// Hot-page placement hook: moves `line`'s row into its bank's near
-    /// segment. The promoted rows occupy a small reserved window of the
-    /// near segment (1/8 of it, at least one row); when the window is
-    /// full the oldest promotion is evicted back to the far segment.
-    ///
-    /// Returns `true` if a promotion happened, `false` if the device is
-    /// flat or the row is already near. Nothing in the simulator calls
-    /// this by default — it is the seam a placement policy plugs into.
-    pub fn promote_row_to_near(&mut self, line: u64) -> bool {
-        let Some(tl) = self.config.tl_dram else {
-            return false;
-        };
-        let (_channel, bank_idx, row) = self.map(line);
-        if row < tl.near_rows_per_bank || self.promoted_near[bank_idx].contains(&row) {
-            return false;
-        }
-        let window = (tl.near_rows_per_bank / 8).clamp(1, 64) as usize;
-        let promoted = &mut self.promoted_near[bank_idx];
-        if promoted.len() >= window {
-            promoted.remove(0);
-        }
-        promoted.push(row);
-        true
     }
 
     /// Performs a demand read of one 64-byte line.
@@ -223,7 +184,7 @@ impl Dram {
         }
         let now = self.refresh_gate(now);
         let (channel, bank_idx, row) = self.map(line);
-        let t = self.segment_timings(bank_idx, row);
+        let t = self.segment_timings(row);
         let bank = &mut self.banks[bank_idx];
 
         let mut start = now.later(bank.ready_at);
@@ -626,35 +587,6 @@ mod tests {
         let first = d.read_line(Cycle::ZERO, 0);
         // Near and far share tCAS: a hit costs 18 + 4 in either segment.
         assert_eq!(d.read_line(first, 1) - first, Cycle::new(22));
-    }
-
-    #[test]
-    fn promote_moves_row_to_near_timing() {
-        let mut d = tiered(1);
-        let far = far_line(&d);
-        assert!(d.promote_row_to_near(far));
-        assert!(!d.promote_row_to_near(far), "already near");
-        assert_eq!(d.read_line(Cycle::ZERO, far), Cycle::new(32));
-        assert!(!d.promote_row_to_near(0), "default near range");
-    }
-
-    #[test]
-    fn promotion_window_evicts_fifo() {
-        // near_rows_per_bank = 8 → reserved window of 1 promoted row.
-        let mut d = tiered(8);
-        let stride = far_line(&d);
-        let a = 8 * stride; // row 8: far
-        let b = 9 * stride; // row 9: far, same bank
-        assert!(d.promote_row_to_near(a));
-        assert!(d.promote_row_to_near(b)); // evicts a
-        assert!(d.promote_row_to_near(a), "a fell back to far");
-    }
-
-    #[test]
-    fn promote_is_noop_on_flat_device() {
-        let mut d = stacked();
-        assert!(!d.promote_row_to_near(0));
-        assert_eq!(d.read_line(Cycle::ZERO, 0), Cycle::new(40));
     }
 
     #[test]

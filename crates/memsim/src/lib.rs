@@ -15,8 +15,7 @@
 //!
 //! Either device can additionally be configured as a **tiered-latency**
 //! (TL-DRAM) part via [`TlDramParams`]: each bank's rows split into a fast
-//! near segment and a slower far segment, with a
-//! [`Dram::promote_row_to_near`] hook for hot-page placement policies.
+//! near segment and a slower far segment.
 //! A `tl_dram: None` config is bit-identical to the flat device.
 //!
 //! Latency is expressed in CPU cycles of the 3.2 GHz cores so that all crates

@@ -16,9 +16,9 @@
 //!
 //! Append-only records make resume robust: a sweep killed mid-write leaves
 //! at most one truncated final line, which [`load`] skips and
-//! [`load_and_repair`] truncates away (so later appends cannot land on the
-//! unterminated tail), and re-invoking the sweep recomputes only the
-//! unfinished points.
+//! [`load_and_repair_resume`] truncates away (so later appends cannot land
+//! on the unterminated tail), and re-invoking the sweep recomputes only
+//! the unfinished points.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -587,7 +587,7 @@ pub fn load(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
 /// keys whose *only* trace in the file is a `"chunk"` progress marker.
 ///
 /// Such a key was mid-run when the sweep was killed (or the marker was
-/// forged — see [`load_resume`]). Either way no result exists, so the
+/// forged into the file). Either way no result exists, so the
 /// point must re-run from scratch; the harness uses the parked set to
 /// avoid appending a *second* marker for a point the checkpoint already
 /// flags as in-flight.
@@ -601,49 +601,18 @@ pub struct ResumeState {
     pub parked: DetHashMap<String, u32>,
 }
 
-/// Loads the full resume state of a checkpoint: terminal records *and*
-/// the parked keys — progress markers never followed by a terminal
-/// record at EOF.
+/// Loads the full resume state of a checkpoint — terminal records *and*
+/// the parked keys — and *repairs* a trailing torn record instead of
+/// merely skipping it.
 ///
-/// Plain [`load`] deliberately drops the markers (a result map must not
-/// mistake "in flight" for a result), but resume paths need them: a
-/// marker whose point never finished — whether the sweep was killed or
-/// the marker was forged into the file — identifies a point that must
-/// re-run from scratch and must not be silently indistinguishable from
-/// "never started".
-///
-/// # Errors
-///
-/// Returns [`SimError::CheckpointIo`] on I/O failure and
-/// [`SimError::Checkpoint`] on non-trailing corruption.
-pub fn load_resume(path: &Path) -> Result<ResumeState, SimError> {
-    let loaded = load_lines(path)?;
-    Ok(ResumeState {
-        records: loaded.records,
-        parked: loaded.parked,
-    })
-}
-
-/// Like [`load`], but *repairs* a trailing torn record instead of merely
-/// skipping it: the file is truncated back to the last whole line (and
-/// the repair logged to stderr), so a subsequent [`Writer::append`]
-/// cannot concatenate a fresh record onto the unterminated tail and turn
-/// a harmless kill artifact into mid-file corruption. Resume paths that
-/// reopen the file for appending must use this; read-only consumers can
-/// keep using [`load`].
-///
-/// # Errors
-///
-/// Returns [`SimError::CheckpointIo`] on read/truncate failure and
-/// [`SimError::Checkpoint`] on non-trailing corruption.
-pub fn load_and_repair(path: &Path) -> Result<DetHashMap<String, PointRecord>, SimError> {
-    Ok(load_and_repair_resume(path)?.records)
-}
-
-/// [`load_resume`] with the torn-tail repair of [`load_and_repair`]:
-/// the resume state *and* a file safe to append to. This is what the
-/// sweep engine calls — it needs the parked set (to re-run those points
-/// without double-marking them) and will append fresh outcomes.
+/// Plain [`load`] deliberately drops progress markers (a result map must
+/// not mistake "in flight" for a result), but the sweep engine needs
+/// them: a marker whose point never finished identifies a point that
+/// must re-run from scratch without being marked a second time. The
+/// repair truncates the file back to the last whole line (and logs it to
+/// stderr), so a subsequent [`Writer::append`] cannot concatenate a
+/// fresh record onto the unterminated tail and turn a harmless kill
+/// artifact into mid-file corruption. Read-only consumers use [`load`].
 ///
 /// # Errors
 ///
@@ -688,7 +657,7 @@ fn io_error(path: &Path, op: &'static str, e: &std::io::Error) -> SimError {
     }
 }
 
-/// The shared body of [`load`] and [`load_and_repair`]: parses every
+/// The shared body of [`load`] and [`load_and_repair_resume`]: parses every
 /// whole record and reports — without acting on — a torn trailing line.
 ///
 /// Records stream straight from a buffered reader into the resume map —
@@ -964,11 +933,11 @@ mod tests {
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
 
-    /// A torn trailing record is not just skipped by [`load_and_repair`]
-    /// — it is cut out of the file, so the append-after-resume path can
-    /// never concatenate a fresh record onto the unterminated tail (which
-    /// would turn a harmless kill artifact into mid-file corruption that
-    /// [`load`] rejects).
+    /// A torn trailing record is not just skipped by
+    /// [`load_and_repair_resume`] — it is cut out of the file, so the
+    /// append-after-resume path can never concatenate a fresh record onto
+    /// the unterminated tail (which would turn a harmless kill artifact
+    /// into mid-file corruption that [`load`] rejects).
     #[test]
     fn repair_truncates_torn_tail_so_appends_stay_parseable() {
         let dir = std::env::temp_dir();
@@ -985,7 +954,9 @@ mod tests {
 
         // Without repair, appending after a torn tail corrupts the file
         // mid-line — exactly the failure mode repair exists to prevent.
-        let map = load_and_repair(&path).expect("repair tolerates torn tail");
+        let map = load_and_repair_resume(&path)
+            .expect("repair tolerates torn tail")
+            .records;
         assert_eq!(map.len(), 1);
         assert!(map.contains_key("a::x"));
         let text = std::fs::read_to_string(&path).expect("tmp readable");
@@ -1003,7 +974,9 @@ mod tests {
 
         // Repair on a clean file is a no-op.
         let before = std::fs::read_to_string(&path).expect("tmp readable");
-        let map = load_and_repair(&path).expect("clean file repairs trivially");
+        let map = load_and_repair_resume(&path)
+            .expect("clean file repairs trivially")
+            .records;
         assert_eq!(map.len(), 2);
         assert_eq!(
             std::fs::read_to_string(&path).expect("tmp readable"),
@@ -1028,7 +1001,7 @@ mod tests {
         std::fs::write(&path, format!("{{\"key\":\"b::x\",\"sta\n{good}\n")).expect("tmp write");
         let before = std::fs::read_to_string(&path).expect("tmp readable");
         assert!(matches!(
-            load_and_repair(&path),
+            load_and_repair_resume(&path),
             Err(SimError::Checkpoint(_))
         ));
         assert_eq!(
@@ -1064,7 +1037,7 @@ mod tests {
         assert_eq!(map.len(), 200);
         assert!(map.contains_key("p0::x") && map.contains_key("p199::x"));
         // Repair cuts exactly at the torn append's start offset.
-        load_and_repair(&path).expect("repairable");
+        load_and_repair_resume(&path).expect("repairable");
         assert_eq!(
             std::fs::metadata(&path).expect("tmp stat").len(),
             whole_len,
@@ -1110,11 +1083,12 @@ mod tests {
         let records = load(&path).expect("progress markers never corrupt a load");
         assert_eq!(records.len(), 1);
         assert_eq!(records.get("b::y"), Some(&rec));
-        assert!(
-            load_and_repair(&path)
-                .expect("repair tolerates markers too")
-                .len()
-                == 1
+        let resume = load_and_repair_resume(&path).expect("repair tolerates markers too");
+        assert_eq!(resume.records, records);
+        assert_eq!(
+            resume.parked.len(),
+            2,
+            "both markers lack a terminal record"
         );
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
@@ -1137,17 +1111,17 @@ mod tests {
         };
         writer.append("finished::y", &rec).expect("append");
 
-        let resume = load_resume(&path).expect("markers never corrupt a load");
+        let resume = load_and_repair_resume(&path).expect("markers never corrupt a load");
         assert_eq!(resume.parked.len(), 1, "only the dangling key is parked");
         assert_eq!(resume.parked.get("dangling::x"), Some(&2));
         assert_eq!(resume.records.get("finished::y"), Some(&rec));
         assert!(!resume.records.contains_key("dangling::x"));
 
-        // The repairing variant sees the same state, and the plain map
-        // view still drops markers entirely.
-        let repaired = load_and_repair_resume(&path).expect("clean file");
-        assert_eq!(repaired, resume);
-        assert_eq!(load(&path).expect("loads").len(), 1);
+        // A clean file is left as written, and the plain map view still
+        // drops markers entirely.
+        let again = load_and_repair_resume(&path).expect("clean file");
+        assert_eq!(again, resume);
+        assert_eq!(load(&path).expect("loads"), resume.records);
         std::fs::remove_file(&path).expect("tmp cleanup");
     }
 

@@ -3,7 +3,7 @@
 
 use cameo::{LltDesign, PredictorKind};
 use cameo_memsim::DramConfig;
-use cameo_types::{ByteSize, DetHashMap, DeviceKind, NopSink, PageAddr};
+use cameo_types::{DetHashMap, DeviceKind, NopSink, PageAddr, TraceSink};
 use cameo_vmem::tlm::{DynamicMigrator, FreqMigrator, OracleProfile};
 use cameo_workloads::{BenchSpec, TraceGenerator};
 
@@ -15,7 +15,6 @@ use crate::org::{
 };
 use crate::runner::{trace_configs, Runner};
 use crate::stats::RunStats;
-use crate::trace::SharedSink;
 
 pub use crate::stats::gmean;
 
@@ -132,17 +131,6 @@ impl OrgKind {
             OrgKind::DoubleUse,
         ]
     }
-
-    /// Resolves a figure label (as printed by [`OrgKind::label`],
-    /// compared case-insensitively) back to its organization — the
-    /// inverse the sweep daemon needs to accept orgs by name over the
-    /// wire.
-    #[must_use]
-    pub fn parse(label: &str) -> Option<OrgKind> {
-        OrgKind::all()
-            .into_iter()
-            .find(|kind| kind.label().eq_ignore_ascii_case(label))
-    }
 }
 
 /// Counts per-page accesses of the exact trace the timed run will replay —
@@ -160,22 +148,6 @@ pub fn page_profile(bench: &BenchSpec, config: &SystemConfig) -> Vec<(PageAddr, 
     counts.into_iter().collect()
 }
 
-/// The (stacked, off-chip) device models of one point on the device axis.
-///
-/// `TlDram` tiers the stacked die ([`DramConfig::stacked_tiered`]); the
-/// off-chip DDR device stays flat on both axes.
-pub fn device_configs(
-    device: DeviceKind,
-    stacked: ByteSize,
-    off_chip: ByteSize,
-) -> (DramConfig, DramConfig) {
-    let stacked_dev = match device {
-        DeviceKind::Flat => DramConfig::stacked(stacked),
-        DeviceKind::TlDram => DramConfig::stacked_tiered(stacked),
-    };
-    (stacked_dev, DramConfig::off_chip(off_chip))
-}
-
 /// Builds a fresh organization of `kind` for one benchmark run, on the
 /// paper's flat Table I devices.
 pub fn build_org(
@@ -188,20 +160,55 @@ pub fn build_org(
 
 /// Builds a fresh organization of `kind` on the chosen device axis.
 ///
-/// [`DeviceKind::Flat`] constructs exactly what [`build_org`] does. The
-/// baseline has no stacked device, and the LH cache and DoubleUse sit
-/// outside the design-comparison sweep, so those three always use the
-/// flat devices regardless of `device`.
+/// [`DeviceKind::Flat`] constructs exactly what [`build_org`] does;
+/// [`DeviceKind::TlDram`] tiers the stacked die
+/// ([`DramConfig::stacked_tiered`]) and keeps the off-chip DDR device
+/// flat. The baseline has no stacked device, and the LH cache and
+/// DoubleUse sit outside the design-comparison sweep, so those three
+/// always use the flat devices regardless of `device`.
 pub fn build_org_on(
     bench: &BenchSpec,
     kind: OrgKind,
     device: DeviceKind,
     config: &SystemConfig,
 ) -> Box<dyn MemoryOrganization> {
+    build_org_with_sink(bench, kind, device, config, NopSink)
+}
+
+/// Builds a fresh organization of `kind` on the chosen device axis with
+/// `sink` receiving its trace events — the one place an [`OrgKind`]
+/// becomes an organization.
+///
+/// The kinds the tracing subsystem instruments — CAMEO (controller events),
+/// Alloy (hit-predictor and service events), the TLM policies (migration
+/// and service events) and MemCache — are constructed around `sink`; the
+/// remaining kinds (Baseline, LH cache, DoubleUse) have no emission sites
+/// and drop it, so their armed runs record an empty trace. The device
+/// rules of [`build_org_on`] apply.
+pub fn build_org_with_sink<S: TraceSink + 'static>(
+    bench: &BenchSpec,
+    kind: OrgKind,
+    device: DeviceKind,
+    config: &SystemConfig,
+    sink: S,
+) -> Box<dyn MemoryOrganization> {
     let stacked = config.stacked();
     let off_chip = config.off_chip();
-    let (stacked_dev, off_chip_dev) = device_configs(device, stacked, off_chip);
+    let stacked_dev = match device {
+        DeviceKind::Flat => DramConfig::stacked(stacked),
+        DeviceKind::TlDram => DramConfig::stacked_tiered(stacked),
+    };
+    let off_chip_dev = DramConfig::off_chip(off_chip);
     let seed = config.seed ^ 0xBEEF;
+    let tlm = |policy, sink| -> Box<dyn MemoryOrganization> {
+        Box::new(TlmOrg::with_sink_on(
+            stacked_dev,
+            off_chip_dev,
+            policy,
+            seed,
+            sink,
+        ))
+    };
     match kind {
         OrgKind::Baseline => Box::new(BaselineOrg::new(off_chip, seed)),
         OrgKind::AlloyCache => Box::new(AlloyCacheOrg::with_sink_on(
@@ -209,39 +216,15 @@ pub fn build_org_on(
             off_chip_dev,
             config.cores,
             seed,
-            NopSink,
+            sink,
         )),
         OrgKind::LhCache => Box::new(LohHillCacheOrg::new(stacked, off_chip, seed)),
-        OrgKind::TlmStatic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Static,
-            seed,
-            NopSink,
-        )),
-        OrgKind::TlmDynamic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Dynamic(DynamicMigrator::new()),
-            seed,
-            NopSink,
-        )),
-        OrgKind::TlmFreq => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Freq(FreqMigrator::new(config.freq_epoch)),
-            seed,
-            NopSink,
-        )),
+        OrgKind::TlmStatic => tlm(TlmPolicy::Static, sink),
+        OrgKind::TlmDynamic => tlm(TlmPolicy::Dynamic(DynamicMigrator::new()), sink),
+        OrgKind::TlmFreq => tlm(TlmPolicy::Freq(FreqMigrator::new(config.freq_epoch)), sink),
         OrgKind::TlmOracle => {
             let profile = OracleProfile::from_counts(page_profile(bench, config), stacked.pages());
-            Box::new(TlmOrg::with_sink_on(
-                stacked_dev,
-                off_chip_dev,
-                TlmPolicy::Oracle(profile),
-                seed,
-                NopSink,
-            ))
+            tlm(TlmPolicy::Oracle(profile), sink)
         }
         OrgKind::Cameo { llt, predictor } => Box::new(CameoOrg::with_sink_on(
             stacked_dev,
@@ -251,7 +234,7 @@ pub fn build_org_on(
             config.cores,
             config.llp_entries,
             seed,
-            NopSink,
+            sink,
         )),
         OrgKind::MemCache { split_percent } => Box::new(MemCacheOrg::with_sink_on(
             stacked_dev,
@@ -259,103 +242,9 @@ pub fn build_org_on(
             split_percent,
             config.cores,
             seed,
-            NopSink,
+            sink,
         )),
         OrgKind::DoubleUse => Box::new(DoubleUseOrg::new(stacked, off_chip, config.cores, seed)),
-    }
-}
-
-/// Builds a fresh organization of `kind` with the armed `sink` receiving
-/// its trace events.
-///
-/// The kinds the tracing subsystem instruments — CAMEO (controller events),
-/// Alloy (hit-predictor and service events) and the TLM policies (migration
-/// and service events) — are constructed around `sink`; the remaining kinds
-/// (Baseline, LH cache, DoubleUse) have no emission sites and fall back to
-/// [`build_org`], so their armed runs record an empty trace.
-pub fn build_org_traced(
-    bench: &BenchSpec,
-    kind: OrgKind,
-    config: &SystemConfig,
-    sink: SharedSink,
-) -> Box<dyn MemoryOrganization> {
-    build_org_traced_on(bench, kind, DeviceKind::Flat, config, sink)
-}
-
-/// Builds a fresh traced organization of `kind` on the chosen device
-/// axis; the same fallback rules as [`build_org_on`] and
-/// [`build_org_traced`] apply.
-pub fn build_org_traced_on(
-    bench: &BenchSpec,
-    kind: OrgKind,
-    device: DeviceKind,
-    config: &SystemConfig,
-    sink: SharedSink,
-) -> Box<dyn MemoryOrganization> {
-    let stacked = config.stacked();
-    let off_chip = config.off_chip();
-    let (stacked_dev, off_chip_dev) = device_configs(device, stacked, off_chip);
-    let seed = config.seed ^ 0xBEEF;
-    match kind {
-        OrgKind::Baseline | OrgKind::LhCache | OrgKind::DoubleUse => {
-            build_org_on(bench, kind, device, config)
-        }
-        OrgKind::AlloyCache => Box::new(AlloyCacheOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            config.cores,
-            seed,
-            sink,
-        )),
-        OrgKind::TlmStatic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Static,
-            seed,
-            sink,
-        )),
-        OrgKind::TlmDynamic => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Dynamic(DynamicMigrator::new()),
-            seed,
-            sink,
-        )),
-        OrgKind::TlmFreq => Box::new(TlmOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            TlmPolicy::Freq(FreqMigrator::new(config.freq_epoch)),
-            seed,
-            sink,
-        )),
-        OrgKind::TlmOracle => {
-            let profile = OracleProfile::from_counts(page_profile(bench, config), stacked.pages());
-            Box::new(TlmOrg::with_sink_on(
-                stacked_dev,
-                off_chip_dev,
-                TlmPolicy::Oracle(profile),
-                seed,
-                sink,
-            ))
-        }
-        OrgKind::Cameo { llt, predictor } => Box::new(CameoOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            llt,
-            predictor,
-            config.cores,
-            config.llp_entries,
-            seed,
-            sink,
-        )),
-        OrgKind::MemCache { split_percent } => Box::new(MemCacheOrg::with_sink_on(
-            stacked_dev,
-            off_chip_dev,
-            split_percent,
-            config.cores,
-            seed,
-            sink,
-        )),
     }
 }
 
@@ -402,20 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn org_labels_round_trip_through_parse() {
+    fn org_labels_are_pairwise_distinct() {
         let all = OrgKind::all();
         assert_eq!(all.len(), 17, "one entry per distinct label");
-        for kind in &all {
-            assert_eq!(
-                OrgKind::parse(kind.label()),
-                Some(*kind),
-                "label {:?} must parse back",
-                kind.label()
-            );
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.label(), b.label(), "{a:?} and {b:?} share a label");
+            }
         }
-        assert_eq!(OrgKind::parse("cameo"), Some(OrgKind::cameo_default()));
-        assert_eq!(OrgKind::parse("BASELINE"), Some(OrgKind::Baseline));
-        assert_eq!(OrgKind::parse("nosuch"), None);
     }
 
     #[test]
@@ -539,7 +422,7 @@ mod tests {
         ] {
             let plain = run_benchmark(&bench, kind, &cfg);
             let sink = SharedSink::new(TraceOptions::default());
-            let mut org = build_org_traced(&bench, kind, &cfg, sink.clone());
+            let mut org = build_org_with_sink(&bench, kind, DeviceKind::Flat, &cfg, sink.clone());
             let traced = Runner::new(bench, &cfg)
                 .expect("valid config")
                 .try_run(org.as_mut(), None)

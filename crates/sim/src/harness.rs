@@ -38,19 +38,20 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cameo_types::{DetBuildHasher, SplitMix64};
+use cameo_types::{DetBuildHasher, DeviceKind, NopSink, SplitMix64, TraceSink};
 use cameo_workloads::{BenchSpec, TraceGenerator};
 
 use crate::checkpoint::{self, PointRecord};
 use crate::config::SystemConfig;
 use crate::error::SimError;
-use crate::experiments::{build_org, build_org_traced, OrgKind};
+use crate::experiments::{build_org_with_sink, OrgKind};
 use crate::org::MemoryOrganization;
 use crate::runner::{RunSession, Runner, SessionStatus};
 use crate::stats::RunStats;
 use crate::trace::{EpochSpillFn, SharedSink, TraceData, TraceOptions};
 
-/// One design point of a sweep: a benchmark and an organization.
+/// One design point of a sweep: a benchmark, an organization and the
+/// device model it runs on.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepPoint {
     /// Stable identity of the point across sweep invocations — the
@@ -60,16 +61,28 @@ pub struct SweepPoint {
     pub bench: String,
     /// Organization to build for the point.
     pub kind: OrgKind,
+    /// Device model the organization is built on (see
+    /// [`crate::experiments::build_org_on`]).
+    pub device: DeviceKind,
 }
 
 impl SweepPoint {
-    /// A point keyed by `"<bench>::<org label>"`.
+    /// A point on the flat devices, keyed by `"<bench>::<org label>"`.
     pub fn new(bench: &str, kind: OrgKind) -> Self {
         Self {
             key: format!("{bench}::{}", kind.label()),
             bench: bench.to_owned(),
             kind,
+            device: DeviceKind::Flat,
         }
+    }
+
+    /// The same point on another device model. The key is left alone:
+    /// a sweep that runs one (bench, org) pair on several devices gives
+    /// each point its own key through [`SweepPoint::with_key`].
+    pub fn with_device(mut self, device: DeviceKind) -> Self {
+        self.device = device;
+        self
     }
 
     /// The same point under a caller-chosen key — needed when one sweep
@@ -263,25 +276,31 @@ impl SweepReport {
 }
 
 /// Builds the organization for one point. Custom builders let a sweep vary
-/// conditions the [`OrgKind`] enum does not encode (fault injection,
+/// conditions a [`SweepPoint`] does not encode (fault injection,
 /// swap-policy variants, ...). `Sync` because sweep workers call the
 /// builder concurrently — share mutable sinks behind a `Mutex`.
 pub type OrgBuilder<'b> =
     dyn Fn(&SweepPoint, &SystemConfig) -> Box<dyn MemoryOrganization> + Sync + 'b;
 
 /// An organization plus the armed sink it emits into, when tracing.
-/// Builders that run untraced return `None` for the sink.
-pub type TracedBuild = (Box<dyn MemoryOrganization>, Option<SharedSink>);
+/// Untraced builds return `None` for the sink.
+type TracedBuild = (Box<dyn MemoryOrganization>, Option<SharedSink>);
 
 /// Builds the organization *and* its trace sink for one point — the
-/// builder shape every sweep path funnels through internally, exposed
-/// for sweeps whose points encode axes [`OrgKind`] alone cannot (e.g.
-/// the design-comparison sweep's device axis riding in the point key).
-/// `Sync` because sweep workers call the builder concurrently.
-pub type TracedOrgBuilder<'b> = dyn Fn(&SweepPoint, &SystemConfig) -> TracedBuild + Sync + 'b;
+/// builder shape every public sweep entry point funnels through.
+type TracedOrgBuilder<'b> = dyn Fn(&SweepPoint, &SystemConfig) -> TracedBuild + Sync + 'b;
 
-/// Runs a sweep with the default organization builder
-/// ([`build_org`]).
+/// Per-point epoch-spill factory for [`run_sweep_traced`].
+///
+/// Called once per *attempt*, so a retried point gets a fresh hook and a
+/// truncating writer never mixes two attempts' epochs. `Sync` because
+/// sweep workers build points concurrently. Returning `None` arms a
+/// plain (non-spilling) sink for that point.
+pub type EpochSpillFactory<'b> = dyn Fn(&SweepPoint) -> Option<EpochSpillFn> + Sync + 'b;
+
+/// Runs a sweep with the default organization builder: each point's
+/// [`SweepPoint::kind`] on its [`SweepPoint::device`], through
+/// [`crate::experiments::build_org_on`].
 ///
 /// # Errors
 ///
@@ -292,26 +311,24 @@ pub fn run_sweep(
     opts: &SweepOptions,
     checkpoint_path: Option<&Path>,
 ) -> Result<SweepReport, SimError> {
-    run_sweep_with(points, opts, checkpoint_path, &|point, config| {
-        // The bench was resolved before the builder is called; an identity
-        // fallback keeps the builder infallible.
-        let bench = cameo_workloads::by_name(&point.bench)
-            .expect("run_sweep resolved the benchmark before building the organization");
-        build_org(&bench, point.kind, config)
+    run_sweep_inner(points, opts, checkpoint_path, &|point, config| {
+        (build_point(point, config, NopSink), None)
     })
 }
 
 /// Runs a sweep with event tracing armed: each point's organization is
-/// built through [`build_org_traced`] with a fresh [`SharedSink`] per
+/// built by the default builder around a fresh [`SharedSink`] per
 /// attempt (so a retried point never double-counts events), and the
 /// recording of the successful attempt lands on
-/// [`PointOutcome::trace`].
+/// [`PointOutcome::trace`]. When `spill` hands out a hook for a point,
+/// its sink streams epochs evicted from the bounded retention ring (see
+/// [`crate::trace::EpochSeries`]) through it — the flat-memory path for
+/// paper-scale runs; pass `&|_| None` to keep every epoch in memory.
 ///
 /// The simulated results are bit-identical to [`run_sweep`] — the report
 /// compares equal, and the checkpoint format is unchanged (resumed
 /// points simply carry no recording). Organizations without emission
-/// sites (Baseline, LH-Cache, DoubleUse) run untraced and produce empty
-/// recordings.
+/// sites (Baseline, LH-Cache, DoubleUse) produce empty recordings.
 ///
 /// # Errors
 ///
@@ -322,44 +339,14 @@ pub fn run_sweep_traced(
     opts: &SweepOptions,
     checkpoint_path: Option<&Path>,
     trace_opts: TraceOptions,
-) -> Result<SweepReport, SimError> {
-    run_sweep_traced_spilling(points, opts, checkpoint_path, trace_opts, &|_| None)
-}
-
-/// Per-point epoch-spill factory for [`run_sweep_traced_spilling`].
-///
-/// Called once per *attempt*, so a retried point gets a fresh hook and a
-/// truncating writer never mixes two attempts' epochs. `Sync` because
-/// sweep workers build points concurrently. Returning `None` arms a
-/// plain (non-spilling) sink for that point.
-pub type EpochSpillFactory<'b> = dyn Fn(&SweepPoint) -> Option<EpochSpillFn> + Sync + 'b;
-
-/// [`run_sweep_traced`], with each point's sink armed to stream epochs
-/// evicted from the bounded retention ring (see
-/// [`crate::trace::EpochSeries`]) through the hook `spill` hands out.
-/// This is the flat-memory path for paper-scale runs: the epoch series
-/// reaches disk incrementally instead of accumulating per point.
-///
-/// # Errors
-///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
-/// failures do *not* abort the sweep; they are recorded in the report.
-pub fn run_sweep_traced_spilling(
-    points: &[SweepPoint],
-    opts: &SweepOptions,
-    checkpoint_path: Option<&Path>,
-    trace_opts: TraceOptions,
     spill: &EpochSpillFactory<'_>,
 ) -> Result<SweepReport, SimError> {
     run_sweep_inner(points, opts, checkpoint_path, &|point, config| {
-        let bench = cameo_workloads::by_name(&point.bench)
-            .expect("run_sweep resolved the benchmark before building the organization");
         let sink = match spill(point) {
             Some(hook) => SharedSink::with_spill(trace_opts, hook),
             None => SharedSink::new(trace_opts),
         };
-        let org = build_org_traced(&bench, point.kind, config, sink.clone());
-        (org, Some(sink))
+        (build_point(point, config, sink.clone()), Some(sink))
     })
 }
 
@@ -390,30 +377,23 @@ pub fn run_sweep_with(
     })
 }
 
-/// Runs a sweep with a caller-provided *traced* builder: the caller
-/// constructs both the organization and (optionally) the armed
-/// [`SharedSink`] it emits into, so one sweep can vary axes the
-/// [`OrgKind`] enum does not encode — the design-comparison sweep
-/// builds its points per `(organization, device model)` pair from the
-/// point key. Recordings of successful fresh points land on
-/// [`PointOutcome::trace`] exactly as in [`run_sweep_traced`].
-///
-/// # Errors
-///
-/// Returns [`SimError::Checkpoint`] on checkpoint I/O failure. Per-point
-/// failures do *not* abort the sweep; they are recorded in the report.
-pub fn run_sweep_traced_with(
-    points: &[SweepPoint],
-    opts: &SweepOptions,
-    checkpoint_path: Option<&Path>,
-    build: &TracedOrgBuilder<'_>,
-) -> Result<SweepReport, SimError> {
-    run_sweep_inner(points, opts, checkpoint_path, build)
+/// The default builder: the point's organization on its device, emitting
+/// into `sink`.
+fn build_point<S: TraceSink + 'static>(
+    point: &SweepPoint,
+    config: &SystemConfig,
+    sink: S,
+) -> Box<dyn MemoryOrganization> {
+    // The bench was resolved before the builder is called; an identity
+    // fallback keeps the builder infallible.
+    let bench = cameo_workloads::by_name(&point.bench)
+        .expect("the sweep resolved the benchmark before building the organization");
+    build_org_with_sink(&bench, point.kind, point.device, config, sink)
 }
 
 /// The sweep engine: resume lookup, work queue, crash isolation,
-/// checkpoint appends. Both the traced and untraced public entry points
-/// land here; only the builder differs.
+/// checkpoint appends. Every public entry point lands here; only the
+/// builder differs.
 fn run_sweep_inner(
     points: &[SweepPoint],
     opts: &SweepOptions,
@@ -579,16 +559,6 @@ pub fn retry_backoff_ms(seed: u64, key: &str, attempt: u32, base_ms: u64) -> u64
     let mut rng =
         SplitMix64::new(seed ^ DetBuildHasher::default().hash_one(key) ^ u64::from(attempt));
     half + rng.below(ceiling - half + 1)
-}
-
-/// The full backoff schedule a point would follow: delays before attempts
-/// `2..=max_attempts`, in order. Lets a supervisor budget a point's worst
-/// case — and lets tests pin determinism — without running anything.
-#[must_use]
-pub fn retry_schedule(seed: u64, key: &str, max_attempts: u32, base_ms: u64) -> Vec<u64> {
-    (2..=max_attempts.max(1))
-        .map(|attempt| retry_backoff_ms(seed, key, attempt, base_ms))
-        .collect()
 }
 
 /// The parked state of one pending point between chunks: everything the
@@ -826,6 +796,7 @@ impl Drop for QuietPanics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{build_org, build_org_on};
     use crate::org::OrgResult;
     use crate::stats::BandwidthReport;
     use cameo_types::{Access, ByteSize, Cycle, PageAddr};
@@ -1130,16 +1101,19 @@ mod tests {
         assert!(report.cycles_per_sec().expect("wall-clock was recorded") > aps);
     }
 
-    /// Satellite contract: the backoff schedule is a pure function of
-    /// `(seed, key, attempt, base)` — two runs at the same seed produce
-    /// identical retry schedules, delays respect the equal-jitter
-    /// envelope, and seed or key changes desynchronize the schedule.
+    /// The backoff delay is a pure function of `(seed, key, attempt,
+    /// base)`: the same inputs give the same delay, delays respect the
+    /// equal-jitter envelope, and seed or key changes desynchronize the
+    /// schedule.
     #[test]
     fn retry_backoff_schedule_is_deterministic() {
-        let a = retry_schedule(42, "astar::CAMEO", 6, 100);
-        let b = retry_schedule(42, "astar::CAMEO", 6, 100);
-        assert_eq!(a, b, "same seed must yield the same schedule");
-        assert_eq!(a.len(), 5, "one delay per retry attempt 2..=6");
+        let schedule = |seed, key| -> Vec<u64> {
+            (2..=6)
+                .map(|attempt| retry_backoff_ms(seed, key, attempt, 100))
+                .collect()
+        };
+        let a = schedule(42, "astar::CAMEO");
+        assert_eq!(a, schedule(42, "astar::CAMEO"), "same seed, same delays");
         for (i, &delay) in a.iter().enumerate() {
             let ceiling = 100u64 << i;
             assert!(
@@ -1149,14 +1123,12 @@ mod tests {
                 ceiling / 2
             );
         }
-        assert_ne!(
-            a,
-            retry_schedule(43, "astar::CAMEO", 6, 100),
-            "seed matters"
-        );
-        assert_ne!(a, retry_schedule(42, "mcf::CAMEO", 6, 100), "key matters");
-        assert!(retry_schedule(42, "astar::CAMEO", 1, 100).is_empty());
-        assert_eq!(retry_schedule(42, "astar::CAMEO", 4, 0), vec![0, 0, 0]);
+        assert_ne!(a, schedule(43, "astar::CAMEO"), "seed matters");
+        assert_ne!(a, schedule(42, "mcf::CAMEO"), "key matters");
+        assert_eq!(retry_backoff_ms(42, "astar::CAMEO", 1, 100), 0, "first try");
+        for attempt in 2..=4 {
+            assert_eq!(retry_backoff_ms(42, "astar::CAMEO", attempt, 0), 0);
+        }
         // The ceiling saturates instead of overflowing at high attempts.
         let deep = retry_backoff_ms(7, "k", 60, u64::MAX / 2);
         assert!(deep >= u64::MAX / 4);
@@ -1195,8 +1167,14 @@ mod tests {
             SweepPoint::new("astar", OrgKind::Baseline),
         ];
         let plain = run_sweep(&points, &quick_opts(), None).expect("no checkpoint I/O involved");
-        let traced = run_sweep_traced(&points, &quick_opts(), None, TraceOptions::default())
-            .expect("no checkpoint I/O involved");
+        let traced = run_sweep_traced(
+            &points,
+            &quick_opts(),
+            None,
+            TraceOptions::default(),
+            &|_| None,
+        )
+        .expect("no checkpoint I/O involved");
         assert_eq!(plain, traced, "tracing must not change simulated results");
         assert!(plain.trace_of("astar::CAMEO").is_none());
         let recording = traced
@@ -1207,6 +1185,30 @@ mod tests {
             .trace_of("astar::Baseline")
             .expect("untraced organizations still return their armed sink");
         assert_eq!(baseline.event_count(), 0, "Baseline has no emission sites");
+    }
+
+    /// The default builder honours the point's device: a TL-DRAM point
+    /// run through [`run_sweep`] matches the same point built by hand on
+    /// the tiered die, and differs from its flat twin.
+    #[test]
+    fn default_builder_builds_the_point_device() {
+        let flat = SweepPoint::new("mcf", OrgKind::cameo_default());
+        let tiered = flat
+            .clone()
+            .with_device(DeviceKind::TlDram)
+            .with_key("mcf::CAMEO@tldram");
+        let points = [flat, tiered.clone()];
+        let report = run_sweep(&points, &quick_opts(), None).expect("no checkpoint I/O involved");
+        let by_hand = run_sweep_with(&[tiered], &quick_opts(), None, &|point, config| {
+            let bench = cameo_workloads::require(&point.bench).expect("suite benchmark");
+            build_org_on(&bench, point.kind, DeviceKind::TlDram, config)
+        })
+        .expect("no checkpoint I/O involved");
+        let on_tldram = report
+            .stats_of("mcf::CAMEO@tldram")
+            .expect("tiered point ran");
+        assert_eq!(Some(on_tldram), by_hand.stats_of("mcf::CAMEO@tldram"));
+        assert_ne!(Some(on_tldram), report.stats_of("mcf::CAMEO"));
     }
 
     #[test]

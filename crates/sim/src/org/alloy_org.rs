@@ -32,7 +32,13 @@ impl AlloyCacheOrg {
     /// Creates the organization: `stacked` bytes of cache over `off_chip`
     /// bytes of visible memory, tracing disabled.
     pub fn new(stacked: ByteSize, off_chip: ByteSize, cores: u16, seed: u64) -> Self {
-        Self::with_sink(stacked, off_chip, cores, seed, NopSink)
+        Self::with_sink_on(
+            DramConfig::stacked(stacked),
+            DramConfig::off_chip(off_chip),
+            cores,
+            seed,
+            NopSink,
+        )
     }
 
     /// Builds with an existing VMM (used by DoubleUse, whose visible memory
@@ -57,23 +63,6 @@ impl AlloyCacheOrg {
 }
 
 impl<S: TraceSink> AlloyCacheOrg<S> {
-    /// Creates the organization with trace events emitted into `sink`.
-    pub fn with_sink(
-        stacked: ByteSize,
-        off_chip: ByteSize,
-        cores: u16,
-        seed: u64,
-        sink: S,
-    ) -> Self {
-        Self::with_sink_on(
-            DramConfig::stacked(stacked),
-            DramConfig::off_chip(off_chip),
-            cores,
-            seed,
-            sink,
-        )
-    }
-
     /// Creates the organization on explicit device models (e.g. a
     /// tiered-latency TL-DRAM stacked die); capacities are taken from the
     /// configs.

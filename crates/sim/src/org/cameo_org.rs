@@ -33,9 +33,9 @@ impl CameoOrg {
         llp_entries: usize,
         seed: u64,
     ) -> Self {
-        Self::with_sink(
-            stacked,
-            off_chip,
+        Self::with_sink_on(
+            cameo_memsim::DramConfig::stacked(stacked),
+            cameo_memsim::DramConfig::off_chip(off_chip),
             llt,
             predictor,
             cores,
@@ -47,30 +47,6 @@ impl CameoOrg {
 }
 
 impl<S: TraceSink> CameoOrg<S> {
-    /// Creates a CAMEO system emitting trace events into `sink`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_sink(
-        stacked: ByteSize,
-        off_chip: ByteSize,
-        llt: LltDesign,
-        predictor: PredictorKind,
-        cores: u16,
-        llp_entries: usize,
-        seed: u64,
-        sink: S,
-    ) -> Self {
-        Self::with_sink_on(
-            cameo_memsim::DramConfig::stacked(stacked),
-            cameo_memsim::DramConfig::off_chip(off_chip),
-            llt,
-            predictor,
-            cores,
-            llp_entries,
-            seed,
-            sink,
-        )
-    }
-
     /// Creates a CAMEO system on explicit device models (e.g. a
     /// tiered-latency TL-DRAM stacked die); capacities are taken from the
     /// configs and passed through to the controller.

@@ -66,34 +66,18 @@ impl MemCacheOrg {
         cores: u16,
         seed: u64,
     ) -> Self {
-        Self::with_sink(stacked, off_chip, split_percent, cores, seed, NopSink)
-    }
-}
-
-impl<S: TraceSink> MemCacheOrg<S> {
-    /// Creates the hybrid with trace events emitted into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`MemCacheOrg::new`].
-    pub fn with_sink(
-        stacked: ByteSize,
-        off_chip: ByteSize,
-        split_percent: u8,
-        cores: u16,
-        seed: u64,
-        sink: S,
-    ) -> Self {
         Self::with_sink_on(
             DramConfig::stacked(stacked),
             DramConfig::off_chip(off_chip),
             split_percent,
             cores,
             seed,
-            sink,
+            NopSink,
         )
     }
+}
 
+impl<S: TraceSink> MemCacheOrg<S> {
     /// Creates the hybrid on explicit device models (e.g. a tiered-latency
     /// TL-DRAM stacked die); capacities are taken from the configs.
     ///

@@ -63,28 +63,17 @@ pub struct TlmOrg<S: TraceSink = NopSink> {
 impl TlmOrg {
     /// Creates a TLM system with the given policy, tracing disabled.
     pub fn new(stacked: ByteSize, off_chip: ByteSize, policy: TlmPolicy, seed: u64) -> Self {
-        Self::with_sink(stacked, off_chip, policy, seed, NopSink)
-    }
-}
-
-impl<S: TraceSink> TlmOrg<S> {
-    /// Creates a TLM system emitting trace events into `sink`.
-    pub fn with_sink(
-        stacked: ByteSize,
-        off_chip: ByteSize,
-        policy: TlmPolicy,
-        seed: u64,
-        sink: S,
-    ) -> Self {
         Self::with_sink_on(
             DramConfig::stacked(stacked),
             DramConfig::off_chip(off_chip),
             policy,
             seed,
-            sink,
+            NopSink,
         )
     }
+}
 
+impl<S: TraceSink> TlmOrg<S> {
     /// Creates a TLM system on explicit device models (e.g. a
     /// tiered-latency TL-DRAM stacked die); capacities are taken from the
     /// configs.

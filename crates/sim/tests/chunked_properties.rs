@@ -156,7 +156,7 @@ fn forged_progress_marker_parks_instead_of_resuming() {
     drop(writer);
 
     // The loader reports the dangling marker as parked, not as a result.
-    let state = checkpoint::load_resume(&path).expect("markers never corrupt a load");
+    let state = checkpoint::load_and_repair_resume(&path).expect("markers never corrupt a load");
     assert!(state.records.is_empty(), "a marker is not a result");
     assert_eq!(state.parked.get(points[0].key.as_str()), Some(&1));
 

@@ -68,6 +68,7 @@ fn different_seed_actually_changes_the_run() {
 /// contract (`cameo_sim::harness` asserts the same for whole sweeps).
 #[test]
 fn armed_trace_sink_is_bit_identical_to_noop() {
+    use cameo_repro::memsim::DramConfig;
     use cameo_repro::sim::trace::{SharedSink, TraceOptions};
 
     let cfg = quick();
@@ -75,9 +76,9 @@ fn armed_trace_sink_is_bit_identical_to_noop() {
     let sink = SharedSink::new(TraceOptions::default());
     let armed = run(
         &cfg,
-        CameoOrg::with_sink(
-            cfg.stacked(),
-            cfg.off_chip(),
+        CameoOrg::with_sink_on(
+            DramConfig::stacked(cfg.stacked()),
+            DramConfig::off_chip(cfg.off_chip()),
             LltDesign::CoLocated,
             PredictorKind::Llp,
             cfg.cores,

@@ -280,7 +280,7 @@ mod golden {
             .iter()
             .map(|&kind| SweepPoint::new("mcf", kind))
             .collect();
-        let report = run_sweep_traced(&points, &opts, None, TraceOptions::default())
+        let report = run_sweep_traced(&points, &opts, None, TraceOptions::default(), &|_| None)
             .expect("mcf resolves and the micro config is valid");
         let rendered = render_report(&report);
         let path = golden_path(name);
