@@ -65,22 +65,71 @@ pub struct Cli {
     pub trace_out: Option<PathBuf>,
 }
 
+/// The flags every figure binary accepts, printed with `--help` and after
+/// a command-line error.
+pub const USAGE: &str = "flags: --scale N --cores N --instructions N --seed N --mlp N --ipc X \
+                         --bench NAME (repeatable) --jobs N --chunk N --bench-json PATH \
+                         --trace-out PATH --quick --csv";
+
+/// Why a command line was rejected.
+#[derive(Clone, PartialEq, Debug)]
+pub enum CliError {
+    /// A flag that takes a value came last.
+    MissingValue {
+        /// The flag.
+        flag: String,
+    },
+    /// A flag's value did not parse as the type the flag takes.
+    BadValue {
+        /// The flag.
+        flag: String,
+        /// The value given.
+        value: String,
+    },
+    /// A flag no binary accepts.
+    UnknownFlag(String),
+    /// A `--bench` name outside the Table II suite.
+    UnknownBenchmark(String),
+    /// The flags parsed but describe an impossible configuration.
+    InvalidConfig(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::MissingValue { flag } => write!(f, "{flag} needs a value"),
+            CliError::BadValue { flag, value } => write!(f, "invalid value {value:?} for {flag}"),
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
+            CliError::UnknownBenchmark(e) => f.write_str(e),
+            CliError::InvalidConfig(e) => write!(f, "invalid configuration from CLI flags: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
 impl Cli {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags.
+    /// Parses `std::env::args`, exiting as [`Cli::from_args`] does on a bad
+    /// command line.
     pub fn parse() -> Self {
         Self::from_args(std::env::args().skip(1))
     }
 
+    /// Parses an explicit argument list. On a bad command line, prints the
+    /// error and [`USAGE`] to stderr and exits with status 2.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_from_args(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
     /// Parses an explicit argument list (testable).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed flags.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Returns the first [`CliError`] the arguments contain.
+    pub fn try_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, CliError> {
         let mut config = SystemConfig::default();
         let mut csv = false;
         let mut names: Vec<String> = Vec::new();
@@ -89,30 +138,33 @@ impl Cli {
         let mut bench_json = None;
         let mut trace_out = None;
         let mut it = args.into_iter();
-        let need = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-            it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+        fn value<T: std::str::FromStr>(
+            it: &mut dyn Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<T, CliError> {
+            let value = it.next().ok_or_else(|| CliError::MissingValue {
+                flag: flag.to_owned(),
+            })?;
+            value.parse().map_err(|_| CliError::BadValue {
+                flag: flag.to_owned(),
+                value,
+            })
+        }
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--scale" => config.scale = need(&mut it, "--scale").parse().expect("--scale"),
-                "--cores" => config.cores = need(&mut it, "--cores").parse().expect("--cores"),
+                "--scale" => config.scale = value(&mut it, "--scale")?,
+                "--cores" => config.cores = value(&mut it, "--cores")?,
                 "--instructions" => {
-                    config.instructions_per_core = need(&mut it, "--instructions")
-                        .parse()
-                        .expect("--instructions");
+                    config.instructions_per_core = value(&mut it, "--instructions")?;
                 }
-                "--seed" => config.seed = need(&mut it, "--seed").parse().expect("--seed"),
-                "--mlp" => config.mlp = need(&mut it, "--mlp").parse().expect("--mlp"),
-                "--ipc" => config.ipc = need(&mut it, "--ipc").parse().expect("--ipc"),
-                "--bench" => names.push(need(&mut it, "--bench")),
-                "--jobs" => jobs = need(&mut it, "--jobs").parse().expect("--jobs"),
-                "--chunk" => chunk = Some(need(&mut it, "--chunk").parse().expect("--chunk")),
-                "--bench-json" => {
-                    bench_json = Some(PathBuf::from(need(&mut it, "--bench-json")));
-                }
-                "--trace-out" => {
-                    trace_out = Some(PathBuf::from(need(&mut it, "--trace-out")));
-                }
+                "--seed" => config.seed = value(&mut it, "--seed")?,
+                "--mlp" => config.mlp = value(&mut it, "--mlp")?,
+                "--ipc" => config.ipc = value(&mut it, "--ipc")?,
+                "--bench" => names.push(value(&mut it, "--bench")?),
+                "--jobs" => jobs = value(&mut it, "--jobs")?,
+                "--chunk" => chunk = Some(value(&mut it, "--chunk")?),
+                "--bench-json" => bench_json = Some(value(&mut it, "--bench-json")?),
+                "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")?),
                 "--quick" => {
                     config.scale = 512;
                     config.cores = 2;
@@ -120,31 +172,30 @@ impl Cli {
                 }
                 "--csv" => csv = true,
                 "--help" | "-h" => {
-                    println!(
-                        "flags: --scale N --cores N --instructions N --seed N --mlp N \
-                         --bench NAME (repeatable) --jobs N --chunk N --bench-json PATH \
-                         --trace-out PATH --quick --csv"
-                    );
+                    println!("{USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag {other}"),
+                other => return Err(CliError::UnknownFlag(other.to_owned())),
             }
         }
         config
             .validate()
-            .unwrap_or_else(|e| panic!("invalid configuration from CLI flags: {e}"));
+            .map_err(|e| CliError::InvalidConfig(e.to_string()))?;
         let benches = if names.is_empty() {
             suite()
         } else {
             names
                 .iter()
-                .map(|n| cameo_workloads::require(n).unwrap_or_else(|e| panic!("{e}")))
-                .collect()
+                .map(|n| {
+                    cameo_workloads::require(n)
+                        .map_err(|e| CliError::UnknownBenchmark(e.to_string()))
+                })
+                .collect::<Result<_, _>>()?
         };
         if jobs == 0 {
             jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         }
-        Self {
+        Ok(Self {
             config,
             csv,
             benches,
@@ -152,7 +203,7 @@ impl Cli {
             chunk,
             bench_json,
             trace_out,
-        }
+        })
     }
 
     /// Writes the `BENCH_sweep.json` perf artifact for a finished sweep
@@ -479,15 +530,51 @@ mod tests {
         assert!(args("").trace_out.is_none());
     }
 
-    #[test]
-    #[should_panic(expected = "unknown benchmark")]
-    fn unknown_bench_rejected() {
-        args("--bench nosuch");
+    fn rejected(s: &str) -> CliError {
+        Cli::try_from_args(s.split_whitespace().map(str::to_owned))
+            .expect_err("the command line is malformed")
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
+    fn unknown_bench_rejected() {
+        let err = rejected("--bench nosuch");
+        assert!(matches!(err, CliError::UnknownBenchmark(_)));
+        assert!(err.to_string().contains("unknown benchmark"), "{err}");
+    }
+
+    #[test]
     fn unknown_flag_rejected() {
-        args("--frobnicate");
+        assert_eq!(
+            rejected("--frobnicate"),
+            CliError::UnknownFlag("--frobnicate".to_owned())
+        );
+    }
+
+    #[test]
+    fn bad_values_name_the_flag_and_the_value() {
+        for (line, flag, value) in [
+            ("--scale abc", "--scale", "abc"),
+            ("--quick --ipc x", "--ipc", "x"),
+        ] {
+            let err = rejected(line);
+            assert_eq!(
+                err,
+                CliError::BadValue {
+                    flag: flag.to_owned(),
+                    value: value.to_owned()
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("invalid value {value:?} for {flag}")
+            );
+        }
+        assert_eq!(
+            rejected("--seed"),
+            CliError::MissingValue {
+                flag: "--seed".to_owned()
+            }
+        );
+        assert!(matches!(rejected("--scale 0"), CliError::InvalidConfig(_)));
     }
 }

@@ -12,7 +12,7 @@
 //! and the [`HitPredictor`] — while the organization layer in `cameo-sim`
 //! charges DRAM timing for TAD reads, fills and writebacks.
 
-use cameo_types::{CoreId, Cycle, LineAddr, TraceEvent, TraceSink};
+use cameo_types::{CoreId, Cycle, Divisor, LineAddr, TraceEvent, TraceSink};
 
 use crate::Eviction;
 
@@ -41,7 +41,9 @@ pub const TAD_BYTES: u32 = 80;
 /// ```
 #[derive(Clone, Debug)]
 pub struct AlloyDirectory {
-    sets: u64,
+    /// The set count, prepared for division: every probe and fill splits
+    /// a line into (set, tag) without a 64-bit divide.
+    sets: Divisor,
     entries: Vec<Option<Tad>>,
 }
 
@@ -61,7 +63,7 @@ impl AlloyDirectory {
     pub fn new(sets: u64) -> Self {
         assert!(sets > 0, "alloy cache must have at least one set");
         Self {
-            sets,
+            sets: Divisor::new(sets),
             entries: vec![None; sets as usize],
         }
     }
@@ -69,7 +71,7 @@ impl AlloyDirectory {
     /// Number of sets (stacked data lines).
     #[inline]
     pub fn sets(&self) -> u64 {
-        self.sets
+        self.sets.get()
     }
 
     /// Set index a line maps to — the stacked-DRAM location of its TAD.
@@ -104,7 +106,7 @@ impl AlloyDirectory {
         let set = self.set_of(line);
         let tag = line.raw() / self.sets;
         let victim = self.entries[set as usize].map(|t| Eviction {
-            line: LineAddr::new(t.tag * self.sets + set),
+            line: LineAddr::new(t.tag * self.sets() + set),
             dirty: t.dirty,
         });
         self.entries[set as usize] = Some(Tad { tag, dirty });

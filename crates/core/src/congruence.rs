@@ -6,7 +6,7 @@
 //! (`line / N`). All lines of a group contend for the single stacked slot
 //! of that group, exactly like lines contending for a set in a cache.
 
-use cameo_types::LineAddr;
+use cameo_types::{Divisor, LineAddr};
 
 use crate::llt::Slot;
 
@@ -26,7 +26,9 @@ use crate::llt::Slot;
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CongruenceMap {
-    groups: u64,
+    /// The group count, prepared for division: every access splits a line
+    /// into (group, way), and the split needs no 64-bit divide.
+    groups: Divisor,
     ratio: u8,
 }
 
@@ -41,13 +43,16 @@ impl CongruenceMap {
     pub fn new(groups: u64, ratio: u8) -> Self {
         assert!(groups > 0, "need at least one congruence group");
         assert!(ratio >= 2, "ratio must be at least 2");
-        Self { groups, ratio }
+        Self {
+            groups: Divisor::new(groups),
+            ratio,
+        }
     }
 
     /// Number of congruence groups (== stacked lines).
     #[inline]
     pub fn groups(&self) -> u64 {
-        self.groups
+        self.groups.get()
     }
 
     /// Lines per congruence group.
@@ -59,7 +64,7 @@ impl CongruenceMap {
     /// Total visible lines (`groups × ratio`).
     #[inline]
     pub fn total_lines(&self) -> u64 {
-        self.groups * u64::from(self.ratio)
+        self.groups() * u64::from(self.ratio)
     }
 
     /// Congruence group of a requested line.
@@ -88,9 +93,9 @@ impl CongruenceMap {
     /// Panics if `group` or `way` is out of range.
     #[inline]
     pub fn line_of(&self, group: u64, way: u8) -> LineAddr {
-        assert!(group < self.groups, "group out of range");
+        assert!(group < self.groups(), "group out of range");
         assert!(way < self.ratio, "way out of range");
-        let line = LineAddr::new(u64::from(way) * self.groups + group);
+        let line = LineAddr::new(u64::from(way) * self.groups() + group);
         #[cfg(feature = "deep-audit")]
         assert!(
             self.group_of(line) == group && self.way_of(line) == way,
@@ -107,7 +112,7 @@ impl CongruenceMap {
     pub fn device_line(&self, group: u64, slot: Slot) -> u64 {
         match slot.raw() {
             0 => group,
-            k => u64::from(k - 1) * self.groups + group,
+            k => u64::from(k - 1) * self.groups() + group,
         }
     }
 }

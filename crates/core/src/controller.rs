@@ -9,7 +9,7 @@ use cameo_memsim::DramConfig;
 use cameo_types::RecoveryKind;
 use cameo_types::{Access, ByteSize, Cycle, LineAddr, MemKind, NopSink, TraceEvent, TraceSink};
 
-use crate::congruence::{div31, CongruenceMap};
+use crate::congruence::CongruenceMap;
 use crate::llp::{LineLocationPredictor, PredictionCase, PredictionCaseCounts};
 use crate::llt::{LineLocationTable, Slot};
 use crate::swap_filter::{PageActivityTable, SwapPolicy};
@@ -380,7 +380,7 @@ impl<S: TraceSink> Cameo<S> {
     /// not of the total bytes).
     pub fn bulk_page_write(&mut self, now: Cycle, page_first_line: LineAddr) {
         let group = self.map.group_of(page_first_line);
-        let way = page_first_line.raw() / self.map.groups();
+        let way = u64::from(self.map.way_of(page_first_line));
         if way == 0 {
             self.stacked
                 .access(now, group, true, cameo_types::PAGE_BYTES as u32);
@@ -396,7 +396,7 @@ impl<S: TraceSink> Cameo<S> {
     /// [`Cameo::bulk_page_write`].
     pub fn bulk_page_read(&mut self, now: Cycle, page_first_line: LineAddr) {
         let group = self.map.group_of(page_first_line);
-        let way = page_first_line.raw() / self.map.groups();
+        let way = u64::from(self.map.way_of(page_first_line));
         if way == 0 {
             self.stacked
                 .access(now, group, false, cameo_types::PAGE_BYTES as u32);
@@ -425,8 +425,20 @@ impl<S: TraceSink> Cameo<S> {
     /// Device line of the LEAD for `group` under the co-located layout:
     /// 31 LEADs per 32-line row, via the paper's `X + X/31` fixup
     /// (footnote 5), wrapped to the device size.
+    ///
+    /// [`div31`](crate::congruence::div31) models the footnote's adder
+    /// circuit; the host divides by the constant 31 (a multiply). Since
+    /// `group` and `group / 31` are both below `groups`, their sum is
+    /// below `2 · groups` and one conditional subtract replaces the
+    /// `% groups`.
     fn lead_line(&self, group: u64) -> u64 {
-        (group + div31(group)) % self.map.groups()
+        let groups = self.map.groups();
+        let line = group + group / 31;
+        if line >= groups {
+            line - groups
+        } else {
+            line
+        }
     }
 
     /// Device line of the Embedded-LLT entry for `group`: one-byte entries,
@@ -905,6 +917,25 @@ mod tests {
 
     fn read(line: u64) -> Access {
         Access::read(CoreId(0), LineAddr::new(line), 0x400000 + line * 4)
+    }
+
+    #[test]
+    fn lead_line_matches_the_footnote_model() {
+        use crate::congruence::div31;
+        for stacked_kib in [64, 96, 200] {
+            let c = Cameo::new(CameoConfig {
+                stacked: ByteSize::from_kib(stacked_kib),
+                off_chip: ByteSize::from_kib(3 * stacked_kib),
+                llt: LltDesign::CoLocated,
+                predictor: PredictorKind::Llp,
+                cores: 1,
+                llp_entries: 64,
+            });
+            let groups = c.map.groups();
+            for group in 0..groups {
+                assert_eq!(c.lead_line(group), (group + div31(group)) % groups);
+            }
+        }
     }
 
     #[test]

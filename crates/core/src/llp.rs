@@ -167,6 +167,9 @@ pub struct LineLocationPredictor {
     /// matches the hardware's 2-bit LLRs exactly), 4 for the simulator's
     /// wider ratios.
     bits_per_llr: u8,
+    /// `log2` of the LLRs per byte (`8 / bits_per_llr`), so locating an
+    /// LLR is a shift and a mask.
+    per_byte_shift: u8,
     /// Last-observed slot per (core, pc-hash), bit-packed `8 /
     /// bits_per_llr` LLRs per byte: LLR `i` lives at bit offset
     /// `(i % per_byte) * bits` of byte `i / per_byte`.
@@ -209,6 +212,7 @@ impl LineLocationPredictor {
             entries_per_core,
             llr_count,
             bits_per_llr,
+            per_byte_shift: per_byte.trailing_zeros() as u8,
             // Slot 0 (stacked) is the cold-start prediction: serial access
             // is the safe default.
             packed: vec![0; llr_count.div_ceil(per_byte)],
@@ -226,11 +230,19 @@ impl LineLocationPredictor {
     ///
     /// Panics if `core` exceeds the configured core count.
     pub fn predict(&self, core: CoreId, pc: u64) -> Slot {
-        let idx = self.index(core, pc);
-        let per_byte = usize::from(8 / self.bits_per_llr);
-        let shift = (idx % per_byte) as u8 * self.bits_per_llr;
+        let (byte, shift) = self.position(self.index(core, pc));
         let mask = (1u8 << self.bits_per_llr) - 1;
-        Slot::new((self.packed[idx / per_byte] >> shift) & mask)
+        Slot::new((self.packed[byte] >> shift) & mask)
+    }
+
+    /// Byte and bit offset of LLR `idx` in `packed`.
+    #[inline]
+    fn position(&self, idx: usize) -> (usize, u8) {
+        let in_byte = idx & ((1 << self.per_byte_shift) - 1);
+        (
+            idx >> self.per_byte_shift,
+            in_byte as u8 * self.bits_per_llr,
+        )
     }
 
     /// Trains the LLR with the slot the LLT actually reported.
@@ -249,10 +261,8 @@ impl LineLocationPredictor {
             "slot {raw} does not fit a {}-bit packed LLR",
             self.bits_per_llr
         );
-        let idx = self.index(core, pc);
-        let per_byte = usize::from(8 / self.bits_per_llr);
-        let shift = (idx % per_byte) as u8 * self.bits_per_llr;
-        let byte = &mut self.packed[idx / per_byte];
+        let (byte, shift) = self.position(self.index(core, pc));
+        let byte = &mut self.packed[byte];
         *byte = (*byte & !(mask << shift)) | (raw << shift);
     }
 

@@ -65,14 +65,71 @@ pub struct Dram {
     /// End of the current refresh blackout, if one is in progress.
     refresh_until: Cycle,
     stats: DramStats,
+    /// [`Dram::map`]'s geometry as shifts and masks, fixed at
+    /// construction.
+    geometry: Geometry,
+    /// Bus occupancy of one 64-byte line transfer.
+    line_burst: Cycle,
+    /// Bytes one 64-byte line transfer moves, rounded up to whole beats.
+    line_bytes_moved: u64,
+}
+
+/// The (channel, bank, row) split of a device-local line number, as shifts
+/// and masks: channels, banks per channel and lines per row are powers of
+/// two on both Table I devices, and [`Geometry::new`] insists on it.
+#[derive(Clone, Copy, Debug)]
+struct Geometry {
+    /// `log2(lines per row)`.
+    row_shift: u32,
+    /// `log2(channels)`.
+    channel_bits: u32,
+    /// `log2(banks per channel)`.
+    bank_bits: u32,
+}
+
+impl Geometry {
+    /// # Panics
+    ///
+    /// Panics, naming the field, if channels, banks per channel or lines
+    /// per row is not a power of two.
+    fn new(config: &DramConfig) -> Self {
+        let log2 = |what: &str, n: u32| -> u32 {
+            assert!(
+                n.is_power_of_two(),
+                "DRAM geometry: {what} must be a power of two, got {n}"
+            );
+            n.trailing_zeros()
+        };
+        Self {
+            row_shift: log2("lines per row", config.lines_per_row()),
+            channel_bits: log2("channels", config.channels),
+            bank_bits: log2("banks per channel", config.banks_per_channel),
+        }
+    }
+}
+
+/// Bus occupancy and bytes moved (rounded up to whole beats) by a transfer
+/// of `bytes` on `config`'s data bus.
+fn transfer(config: &DramConfig, bytes: u32) -> (Cycle, u64) {
+    (
+        Cycle::new(config.burst_cpu_cycles(bytes)),
+        u64::from(config.beats_for(bytes) * config.bytes_per_beat),
+    )
 }
 
 impl Dram {
     /// Creates a device with all banks precharged and buses idle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if channels, banks per channel or lines per row is not a
+    /// power of two, or if the refresh parameters are inconsistent.
     pub fn new(config: DramConfig) -> Self {
         if let Some(refresh) = &config.refresh {
             refresh.validate();
         }
+        let geometry = Geometry::new(&config);
+        let (line_burst, line_bytes_moved) = transfer(&config, cameo_types::LINE_BYTES as u32);
         let banks = vec![Bank::default(); config.total_banks() as usize];
         let bus_free = vec![Cycle::ZERO; config.channels as usize];
         Self {
@@ -82,6 +139,9 @@ impl Dram {
             banks,
             bus_free,
             stats: DramStats::default(),
+            geometry,
+            line_burst,
+            line_bytes_moved,
         }
     }
 
@@ -128,14 +188,12 @@ impl Dram {
     /// interleave across channels, then banks, preserving both row-buffer
     /// locality and bank-level parallelism.
     fn map(&self, line: u64) -> (usize, usize, u64) {
-        let channels = u64::from(self.config.channels);
-        let banks = u64::from(self.config.banks_per_channel);
-        let lines_per_row = u64::from(self.config.lines_per_row());
-        let row_seq = line / lines_per_row;
-        let channel = row_seq % channels;
-        let bank_in_channel = (row_seq / channels) % banks;
-        let row = row_seq / (channels * banks);
-        let bank = channel * banks + bank_in_channel;
+        let g = self.geometry;
+        let row_seq = line >> g.row_shift;
+        let channel = row_seq & ((1 << g.channel_bits) - 1);
+        let bank_in_channel = (row_seq >> g.channel_bits) & ((1 << g.bank_bits) - 1);
+        let row = row_seq >> (g.channel_bits + g.bank_bits);
+        let bank = (channel << g.bank_bits) | bank_in_channel;
         (channel as usize, bank as usize, row)
     }
 
@@ -157,7 +215,7 @@ impl Dram {
     /// Returns the cycle the critical word (entire line, in this model) is
     /// available.
     pub fn read_line(&mut self, now: Cycle, line: u64) -> Cycle {
-        self.access(now, line, false, cameo_types::LINE_BYTES as u32)
+        self.read(now, line, self.line_burst, self.line_bytes_moved)
     }
 
     /// Performs a write of one 64-byte line (fill, writeback or swap).
@@ -166,7 +224,7 @@ impl Dram {
     /// treat writes as posted and ignore the return value except for
     /// occupancy.
     pub fn write_line(&mut self, now: Cycle, line: u64) -> Cycle {
-        self.access(now, line, true, cameo_types::LINE_BYTES as u32)
+        self.write_buffered(now, line, self.line_burst, self.line_bytes_moved)
     }
 
     /// Performs an access with an explicit transfer size (e.g. the 80-byte
@@ -179,9 +237,17 @@ impl Dram {
     /// Panics if `bytes` is zero.
     pub fn access(&mut self, now: Cycle, line: u64, is_write: bool, bytes: u32) -> Cycle {
         assert!(bytes > 0, "access must transfer at least one byte");
+        let (burst, moved) = transfer(&self.config, bytes);
         if is_write {
-            return self.write_buffered(now, line, bytes);
+            self.write_buffered(now, line, burst, moved)
+        } else {
+            self.read(now, line, burst, moved)
         }
+    }
+
+    /// A demand read occupying the bus for `burst` and moving `moved`
+    /// bytes.
+    fn read(&mut self, now: Cycle, line: u64, burst: Cycle, moved: u64) -> Cycle {
         let now = self.refresh_gate(now);
         let (channel, bank_idx, row) = self.map(line);
         let t = self.segment_timings(row);
@@ -206,7 +272,6 @@ impl Dram {
         let cas_done = start + Cycle::new(command_cycles);
 
         // Queue for the channel data bus.
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
         let data_start = cas_done.later(self.bus_free[channel]);
         let data_done = data_start + burst;
         self.bus_free[channel] = data_done;
@@ -230,14 +295,8 @@ impl Dram {
             RowBufferOutcome::ClosedMiss => self.stats.row_closed += 1,
             RowBufferOutcome::Conflict => self.stats.row_conflicts += 1,
         }
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
-        if is_write {
-            self.stats.writes += 1;
-            self.stats.bytes_written += moved;
-        } else {
-            self.stats.demand_reads += 1;
-            self.stats.bytes_read += moved;
-        }
+        self.stats.demand_reads += 1;
+        self.stats.bytes_read += moved;
         data_done
     }
 
@@ -248,16 +307,13 @@ impl Dram {
     /// — pessimistically, matching the paper's Table IV accounting — its
     /// data-bus bandwidth. Returns the cycle its bus slot ends.
     pub fn read_squashed(&mut self, now: Cycle, line: u64) -> Cycle {
-        let bytes = cameo_types::LINE_BYTES as u32;
         let (channel, _bank, _row) = self.map(line);
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
         let data_start = now.later(self.bus_free[channel]);
-        let data_done = data_start + burst;
+        let data_done = data_start + self.line_burst;
         self.bus_free[channel] = data_done;
-        self.stats.bus_busy_cycles += burst.raw();
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
+        self.stats.bus_busy_cycles += self.line_burst.raw();
         self.stats.demand_reads += 1;
-        self.stats.bytes_read += moved;
+        self.stats.bytes_read += self.line_bytes_moved;
         data_done
     }
 
@@ -267,14 +323,12 @@ impl Dram {
     /// hold banks against later demand reads the way a read does. Without
     /// this, posted swap/fill/writeback traffic would serialize demand
     /// reads far beyond what a real write-queue-equipped controller shows.
-    fn write_buffered(&mut self, now: Cycle, line: u64, bytes: u32) -> Cycle {
+    fn write_buffered(&mut self, now: Cycle, line: u64, burst: Cycle, moved: u64) -> Cycle {
         let (channel, _bank_idx, _row) = self.map(line);
-        let burst = Cycle::new(self.config.burst_cpu_cycles(bytes));
         let data_start = now.later(self.bus_free[channel]);
         let data_done = data_start + burst;
         self.bus_free[channel] = data_done;
         self.stats.bus_busy_cycles += burst.raw();
-        let moved = u64::from(self.config.beats_for(bytes) * self.config.bytes_per_beat);
         self.stats.writes += 1;
         self.stats.bytes_written += moved;
         data_done
@@ -599,6 +653,69 @@ mod tests {
         let far = far_line(&d) * 8 + u64::from(d.config().lines_per_row());
         let t0 = Cycle::new(1000);
         assert_eq!(d.read_line(t0, far) - t0, Cycle::new(40));
+    }
+
+    /// The division form `map` had before it was rewritten as shifts and
+    /// masks, kept as the reference.
+    fn map_by_division(config: &DramConfig, line: u64) -> (usize, usize, u64) {
+        let channels = u64::from(config.channels);
+        let banks = u64::from(config.banks_per_channel);
+        let row_seq = line / u64::from(config.lines_per_row());
+        let channel = row_seq % channels;
+        let bank_in_channel = (row_seq / channels) % banks;
+        let row = row_seq / (channels * banks);
+        let bank = channel * banks + bank_in_channel;
+        (channel as usize, bank as usize, row)
+    }
+
+    #[test]
+    fn shift_mapping_matches_division_on_table1_devices() {
+        for d in [stacked(), off_chip()] {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let edges = [0, 1, 31, 32, 33, 511, 512, 4096, u64::MAX - 1, u64::MAX];
+            let randoms = (0..20_000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x >> (x % 64)
+            });
+            for line in edges.into_iter().chain(0..70_000).chain(randoms) {
+                assert_eq!(
+                    d.map(line),
+                    map_by_division(d.config(), line),
+                    "line {line}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_geometry_rejected() {
+        // (channels, banks per channel, row bytes) and the message.
+        let cases = [
+            ((12, 16, 2048), "channels must be a power of two, got 12"),
+            (
+                (16, 6, 2048),
+                "banks per channel must be a power of two, got 6",
+            ),
+            (
+                (16, 16, 1536),
+                "lines per row must be a power of two, got 24",
+            ),
+        ];
+        for ((channels, banks_per_channel, row_bytes), message) in cases {
+            let cfg = DramConfig {
+                channels,
+                banks_per_channel,
+                row_bytes,
+                ..DramConfig::stacked(ByteSize::from_mib(64))
+            };
+            let err = std::panic::catch_unwind(|| Dram::new(cfg)).expect_err(message);
+            let text = err
+                .downcast_ref::<String>()
+                .expect("assert! with format arguments panics with a String");
+            assert!(text.contains(message), "{text}");
+        }
     }
 
     #[test]

@@ -72,19 +72,41 @@ impl CoreTimeline {
         self.stall_cycles
     }
 
-    /// Retires `instructions` at the base IPC.
-    pub fn advance(&mut self, instructions: u64) {
-        self.instructions += instructions;
-        self.time += Cycle::new((instructions as f64 / self.ipc).ceil() as u64);
+    /// Cycles `instructions` take at the base IPC: `⌈instructions / ipc⌉`.
+    ///
+    /// Equal to `(instructions as f64 / ipc).ceil() as u64` for every
+    /// input, without the libm `ceil` call: the truncation `t` of the
+    /// quotient `q` is exact below 2⁵³, where `t < q` exactly when `q`
+    /// has a fraction; from 2⁵³ on every `f64` is an integer, so `t == q`
+    /// up to 2⁶⁴, and above it both forms saturate at `u64::MAX`.
+    #[inline]
+    pub fn cycles_for(&self, instructions: u64) -> u64 {
+        let q = instructions as f64 / self.ipc;
+        let t = q as u64;
+        t.saturating_add(u64::from((t as f64) < q))
     }
 
-    /// Predicts when a request following `gap_instructions` more
-    /// instructions would issue, accounting for an MLP-window stall —
-    /// without changing any state. The runner uses this as its global
-    /// event-ordering key so that device accesses are generated in
-    /// nondecreasing time order.
-    pub fn projected_issue(&self, gap_instructions: u64) -> Cycle {
-        let t = self.time + Cycle::new((gap_instructions as f64 / self.ipc).ceil() as u64);
+    /// Retires `instructions` at the base IPC.
+    pub fn advance(&mut self, instructions: u64) {
+        self.retire(instructions, self.cycles_for(instructions));
+    }
+
+    /// Retires `instructions` that take `cycles`, as computed beforehand
+    /// by [`CoreTimeline::cycles_for`].
+    #[inline]
+    pub fn retire(&mut self, instructions: u64, cycles: u64) {
+        self.instructions += instructions;
+        self.time += Cycle::new(cycles);
+    }
+
+    /// Predicts when a request following `gap_cycles` more cycles of
+    /// execution (see [`CoreTimeline::cycles_for`]) would issue,
+    /// accounting for an MLP-window stall — without changing any state.
+    /// The runner uses this as its global event-ordering key so that
+    /// device accesses are generated in nondecreasing time order.
+    #[inline]
+    pub fn projected_issue(&self, gap_cycles: u64) -> Cycle {
+        let t = self.time + Cycle::new(gap_cycles);
         match self.outstanding.front() {
             Some(&oldest) if self.outstanding.len() >= self.mlp => t.later(oldest),
             _ => t,
@@ -197,14 +219,14 @@ mod tests {
     fn projected_issue_matches_actual_issue() {
         let mut c = CoreTimeline::new(2.0, 2);
         // Window empty: projection is time + gap/ipc.
-        assert_eq!(c.projected_issue(100), Cycle::new(50));
+        assert_eq!(c.projected_issue(c.cycles_for(100)), Cycle::new(50));
         // Fill the window with slow completions.
         let t0 = c.issue();
         c.complete_read(t0 + Cycle::new(1000));
         let t1 = c.issue();
         c.complete_read(t1 + Cycle::new(2000));
         // Projection must account for the oldest outstanding read.
-        let projected = c.projected_issue(10);
+        let projected = c.projected_issue(c.cycles_for(10));
         c.advance(10);
         let actual = c.issue();
         assert_eq!(projected, actual);
@@ -220,6 +242,44 @@ mod tests {
         let _ = c.projected_issue(7);
         assert_eq!(c.time(), before);
         assert_eq!(c.instructions(), 42);
+    }
+
+    #[test]
+    fn cycles_for_matches_libm_ceil() {
+        let ns = [
+            0,
+            1,
+            2,
+            3,
+            7,
+            99,
+            100,
+            1_000_001,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for ipc in [0.7, 1.3, 1.5, 2.0, 3.0, 1e-3] {
+            let c = CoreTimeline::new(ipc, 1);
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            let randoms = (0..10_000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x >> (x % 64)
+            });
+            for n in ns.into_iter().chain(0..5_000).chain(randoms) {
+                assert_eq!(
+                    c.cycles_for(n),
+                    (n as f64 / ipc).ceil() as u64,
+                    "n = {n}, ipc = {ipc}"
+                );
+            }
+        }
     }
 
     #[test]

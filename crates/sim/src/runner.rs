@@ -24,7 +24,30 @@ pub struct Runner<'a> {
 struct CoreState<S> {
     timeline: CoreTimeline,
     stream: S,
-    pending: MissEvent,
+    /// The event this core issues next.
+    pending: Drawn,
+    /// The event after it, drawn one step early: the draw and its cycle
+    /// count then overlap the following steps instead of delaying the
+    /// next pick of the earliest core.
+    lookahead: Drawn,
+}
+
+/// A drawn miss event with its instruction gap already in cycles, computed
+/// once when the event is drawn.
+#[derive(Clone, Copy)]
+struct Drawn {
+    event: MissEvent,
+    gap_cycles: u64,
+}
+
+impl Drawn {
+    fn next<S: MissStream>(stream: &mut S, timeline: &CoreTimeline) -> Self {
+        let event = stream.next_event();
+        Self {
+            event,
+            gap_cycles: timeline.cycles_for(event.gap_instructions),
+        }
+    }
 }
 
 /// Sentinel in the next-issue scan for a core that retired all of its
@@ -38,17 +61,18 @@ const CORE_DONE: u64 = u64::MAX;
 /// order the former `BinaryHeap<Reverse<(u64, usize)>>` produced, so
 /// event interleaving (and therefore every statistic) is bit-identical.
 /// A flat scan beats heap maintenance for the small fixed core counts we
-/// simulate (the paper's configurations are 8-core).
+/// simulate (the paper's configurations are 8-core). The scan selects
+/// with masks rather than branches: which core wins changes from step to
+/// step, so a branch on it would mispredict.
 fn earliest_core(next_issue: &[u64]) -> Option<usize> {
     let mut best = CORE_DONE;
-    let mut idx = None;
+    let mut idx = 0usize;
     for (i, &t) in next_issue.iter().enumerate() {
-        if t < best {
-            best = t;
-            idx = Some(i);
-        }
+        let take = usize::from(t < best).wrapping_neg();
+        idx ^= (idx ^ i) & take;
+        best = best.min(t);
     }
-    idx
+    (best != CORE_DONE).then_some(idx)
 }
 
 /// Per-core trace configurations for one benchmark under `config`.
@@ -214,6 +238,9 @@ pub struct RunSession<S> {
     cores: Vec<CoreState<S>>,
     next_issue: Vec<u64>,
     warmup_instr: u64,
+    /// Cores whose retired instructions have reached `warmup_instr`;
+    /// measurement starts when this reaches the core count.
+    warmed_cores: usize,
     total_instr: u64,
     /// Divisor for the per-core instruction average (`cfg.cores`).
     core_count: u64,
@@ -275,11 +302,14 @@ impl<S: MissStream> RunSession<S> {
         let cores: Vec<CoreState<S>> = streams
             .into_iter()
             .map(|mut stream| {
-                let pending = stream.next_event();
+                let timeline = CoreTimeline::new(cfg.ipc, cfg.mlp);
+                let pending = Drawn::next(&mut stream, &timeline);
+                let lookahead = Drawn::next(&mut stream, &timeline);
                 CoreState {
-                    timeline: CoreTimeline::new(cfg.ipc, cfg.mlp),
+                    timeline,
                     stream,
                     pending,
+                    lookahead,
                 }
             })
             .collect();
@@ -290,7 +320,7 @@ impl<S: MissStream> RunSession<S> {
         // (approximately) nondecreasing time order.
         let next_issue: Vec<u64> = cores
             .iter()
-            .map(|c| c.timeline.projected_issue(c.pending.gap_instructions).raw())
+            .map(|c| c.timeline.projected_issue(c.pending.gap_cycles).raw())
             .collect();
 
         let core_len = cores.len();
@@ -299,6 +329,7 @@ impl<S: MissStream> RunSession<S> {
             cores,
             next_issue,
             warmup_instr,
+            warmed_cores: 0,
             total_instr,
             core_count: u64::from(cfg.cores),
             measuring: warmup_instr == 0,
@@ -340,8 +371,9 @@ impl<S: MissStream> RunSession<S> {
             let finished_instructions;
             {
                 let core = &mut self.cores[idx];
-                let event = core.pending;
-                core.timeline.advance(event.gap_instructions);
+                let Drawn { event, gap_cycles } = core.pending;
+                let warm_before = core.timeline.instructions() >= self.warmup_instr;
+                core.timeline.retire(event.gap_instructions, gap_cycles);
                 let issue = core.timeline.issue();
                 if let Some(budget) = budget_cycles {
                     if issue.raw() > budget {
@@ -387,16 +419,14 @@ impl<S: MissStream> RunSession<S> {
                     }
                 }
                 finished_instructions = core.timeline.instructions();
+                if !warm_before && finished_instructions >= self.warmup_instr {
+                    self.warmed_cores += 1;
+                }
             }
 
             // Warmup boundary: once every core has crossed it, zero the
             // counters and record per-core time offsets.
-            if !self.measuring
-                && self
-                    .cores
-                    .iter()
-                    .all(|c| c.timeline.instructions() >= self.warmup_instr)
-            {
+            if !self.measuring && self.warmed_cores == self.cores.len() {
                 self.measuring = true;
                 org.reset_stats();
                 for (i, c) in self.cores.iter().enumerate() {
@@ -407,11 +437,9 @@ impl<S: MissStream> RunSession<S> {
 
             if finished_instructions < self.total_instr {
                 let core = &mut self.cores[idx];
-                core.pending = core.stream.next_event();
-                self.next_issue[idx] = core
-                    .timeline
-                    .projected_issue(core.pending.gap_instructions)
-                    .raw();
+                core.pending = core.lookahead;
+                self.next_issue[idx] = core.timeline.projected_issue(core.pending.gap_cycles).raw();
+                core.lookahead = Drawn::next(&mut core.stream, &core.timeline);
             } else {
                 self.next_issue[idx] = CORE_DONE;
             }
@@ -553,6 +581,33 @@ mod tests {
             )
             .expect("u64::MAX budget never trips");
         assert!(stats.demand_reads > 0);
+    }
+
+    #[test]
+    fn earliest_core_orders_by_time_then_index() {
+        assert_eq!(earliest_core(&[]), None);
+        assert_eq!(earliest_core(&[CORE_DONE, CORE_DONE]), None);
+        assert_eq!(earliest_core(&[5, 3, 3, CORE_DONE]), Some(1));
+        assert_eq!(earliest_core(&[CORE_DONE, 9, 0]), Some(2));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            let times: Vec<u64> = (0..16)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x.is_multiple_of(5) {
+                        CORE_DONE
+                    } else {
+                        x % 8
+                    }
+                })
+                .collect();
+            let reference = (0..times.len())
+                .filter(|&i| times[i] != CORE_DONE)
+                .min_by_key(|&i| (times[i], i));
+            assert_eq!(earliest_core(&times), reference, "{times:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use cameo_types::{LineAddr, LINES_PER_PAGE};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::suite::BenchSpec;
 
@@ -64,6 +64,10 @@ pub struct TraceGenerator {
     /// Lines used per page (spatial density), at least one.
     used_lines: u64,
     mean_gap: f64,
+    // The behavior's branch probabilities as `bernoulli` thresholds.
+    stream_threshold: u64,
+    hot_threshold: u64,
+    write_threshold: u64,
     // Sequential-stream state.
     stream_page: u64,
     stream_line: u64,
@@ -106,6 +110,9 @@ impl TraceGenerator {
             hot_pages,
             used_lines,
             mean_gap: 1000.0 / spec.mpki,
+            stream_threshold: bernoulli_threshold(spec.behavior.stream_prob),
+            hot_threshold: bernoulli_threshold(spec.behavior.hot_access_prob),
+            write_threshold: bernoulli_threshold(spec.behavior.write_fraction),
             stream_page,
             stream_line: 0,
             stream_remaining: 0,
@@ -149,15 +156,14 @@ impl TraceGenerator {
     /// Draws the next miss event.
     pub fn next_event(&mut self) -> MissEvent {
         let gap = self.sample_gap();
-        let b = self.spec.behavior;
-        let (page, line_in_page, pc) = if self.rng.gen_bool(b.stream_prob) {
+        let (page, line_in_page, pc) = if self.bernoulli(self.stream_threshold) {
             self.next_stream()
-        } else if self.rng.gen_bool(b.hot_access_prob) {
+        } else if self.bernoulli(self.hot_threshold) {
             self.next_hot()
         } else {
             self.next_cold()
         };
-        let is_write = self.rng.gen_bool(b.write_fraction);
+        let is_write = self.bernoulli(self.write_threshold);
         let line = LineAddr::new(
             (self.cfg.core_offset_pages + page) * LINES_PER_PAGE as u64 + line_in_page,
         );
@@ -169,6 +175,13 @@ impl TraceGenerator {
             pc,
             is_write,
         }
+    }
+
+    /// `true` with the probability `threshold` was made from by
+    /// [`bernoulli_threshold`]; draws one `u64`, as `gen_bool` does.
+    #[inline]
+    fn bernoulli(&mut self, threshold: u64) -> bool {
+        (self.rng.next_u64() >> 11) < threshold
     }
 
     /// Geometric inter-miss gap with mean `1000 / MPKI`.
@@ -272,6 +285,20 @@ impl TraceGenerator {
     }
 }
 
+/// The integer threshold that makes [`TraceGenerator::bernoulli`] decide
+/// exactly as `rng.gen_bool(p)` does. `gen_bool` tests `k / 2⁵³ < p` for
+/// the 53-bit integer `k = next_u64() >> 11`, and `k / 2⁵³` is exact; so is
+/// `p · 2⁵³` (a power-of-two scaling), and for an integer `k`,
+/// `k < p · 2⁵³` holds exactly when `k < ⌈p · 2⁵³⌉`.
+///
+/// # Panics
+///
+/// Panics unless `0 <= p <= 1`, as `gen_bool` does.
+fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "gen_bool: p out of [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +314,38 @@ mod tests {
                 core_offset_pages: 0,
             },
         )
+    }
+
+    #[test]
+    fn bernoulli_threshold_decides_as_gen_bool() {
+        let ps = [
+            0.0,
+            1.0,
+            0.15,
+            0.25,
+            0.45,
+            1.0 / 3.0,
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON / 2.0,
+            0.5 + f64::EPSILON,
+        ];
+        for p in ps {
+            let threshold = bernoulli_threshold(p);
+            let mut a = SmallRng::seed_from_u64(p.to_bits());
+            let mut b = a.clone();
+            for _ in 0..20_000 {
+                assert_eq!(a.gen_bool(p), (b.next_u64() >> 11) < threshold, "p = {p}");
+            }
+            // The boundary itself: the largest k that passes and the
+            // smallest that fails.
+            let scale = 1.0 / (1u64 << 53) as f64;
+            if threshold > 0 {
+                assert!(((threshold - 1) as f64 * scale) < p, "p = {p}");
+            }
+            if threshold < 1 << 53 {
+                assert!((threshold as f64 * scale) >= p, "p = {p}");
+            }
+        }
     }
 
     #[test]
