@@ -42,7 +42,7 @@ pub const TAD_BYTES: u32 = 80;
 #[derive(Clone, Debug)]
 pub struct AlloyDirectory {
     /// The set count, prepared for division: every probe and fill splits
-    /// a line into (set, tag) without a 64-bit divide.
+    /// a line into (set, tag), a shift and a mask at a power-of-two count.
     sets: Divisor,
     entries: Vec<Option<Tad>>,
 }

@@ -27,7 +27,7 @@ use crate::llt::Slot;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CongruenceMap {
     /// The group count, prepared for division: every access splits a line
-    /// into (group, way), and the split needs no 64-bit divide.
+    /// into (group, way), a shift and a mask at a power-of-two count.
     groups: Divisor,
     ratio: u8,
 }

@@ -8,9 +8,7 @@
 //! exactly-one-copy-of-every-line invariant that distinguishes CAMEO from a
 //! cache.
 
-#[cfg(feature = "faults")]
-use cameo_types::DetHashMap;
-use cameo_types::LineAddr;
+use cameo_types::{DetHashMap, LineAddr};
 
 use crate::congruence::CongruenceMap;
 
@@ -222,32 +220,6 @@ fn packed_of_lehmer(mut index: u32, ratio: u8) -> u32 {
     packed
 }
 
-/// Encodes the packed nibble word of a permutation as its Lehmer index,
-/// the inverse of [`packed_of_lehmer`]. Way `w`'s digit is the rank of its
-/// slot among the slots no earlier way took; `ranks` holds that rank for
-/// every slot, one nibble each, and taking slot `s` lowers the ranks of
-/// all slots above `s` by one (in a valid word each is at least 1 then,
-/// since `s` was untaken and below it, so no nibble borrows). The digits are folded in
-/// with Horner's rule over the falling radices `ratio, ratio − 1, …`.
-/// Returns `None` for any word that is not a permutation of `0..ratio`:
-/// `ratio` nibbles set `ratio` distinct bits below bit `ratio` only if
-/// their slots are distinct and in range.
-fn lehmer_of_packed(packed: u32, ratio: u8) -> Option<u32> {
-    let ratio = u32::from(ratio);
-    let mut taken = 0u32;
-    let mut ranks = 0x7654_3210u64;
-    let mut index = 0u32;
-    for way in 0..ratio {
-        let slot = (packed >> (way * 4)) & 0xF;
-        taken |= 1 << slot;
-        let digit = ((ranks >> (slot * 4)) & 0xF) as u32;
-        ranks = ranks.wrapping_sub(0x1111_1111_1111_1111_u64.wrapping_shl((slot + 1) * 4));
-        index = index * (ratio - way) + digit;
-    }
-    let stray_bits = u64::from(packed) >> (ratio * 4) != 0;
-    (taken == (1 << ratio) - 1 && !stray_bits).then_some(index)
-}
-
 /// Bits needed to name any of the `ratio!` permutations of a group:
 /// 1 bit at ratio 2, 5 bits at the paper's ratio 4, 16 bits at ratio 8.
 fn lehmer_bits(ratio: u8) -> u8 {
@@ -268,12 +240,12 @@ fn lehmer_bits(ratio: u8) -> u8 {
 /// 4, against 16 for the packed nibbles and 32 for a whole word) —
 /// bit-packed into a flat `Vec<u64>`. A table-wide decode LUT (`r!`
 /// entries, ≤ 160 KiB at ratio 8) turns an index back into the packed
-/// nibble word in one load; updated entries are re-encoded
-/// arithmetically, a few shifts per way. At the paper's full scale (64 M
-/// ratio-4 groups) this is ~40 MiB of host memory instead of 256 MiB.
-/// [`LltEntry`] remains the manipulation API; [`LineLocationTable::entry`]
-/// materializes one *by value* on demand, and `entry()`/`locate()` behave
-/// exactly as they did over the nibble store.
+/// nibble word in one load, and its inverse map re-encodes updated
+/// entries. At the paper's full scale (64 M ratio-4 groups) this is
+/// ~40 MiB of host memory instead of 256 MiB. [`LltEntry`] remains the
+/// manipulation API; [`LineLocationTable::entry`] materializes one *by
+/// value* on demand, and `entry()`/`locate()` behave exactly as they did
+/// over the nibble store.
 ///
 /// Fault injection can leave a group holding a *non*-permutation, which
 /// no index can name; those groups are parked verbatim in a sparse
@@ -292,6 +264,8 @@ pub struct LineLocationTable {
     store: Vec<u64>,
     /// Lehmer index → packed nibble word; `decode[0]` is the identity.
     decode: Vec<u32>,
+    /// Packed nibble word → Lehmer index (the inverse of `decode`).
+    encode: DetHashMap<u32, u32>,
     index_bits: u8,
     ratio: u8,
     swaps: u64,
@@ -308,6 +282,10 @@ impl LineLocationTable {
         let index_bits = lehmer_bits(ratio);
         let perms = factorial(ratio);
         let decode: Vec<u32> = (0..perms).map(|i| packed_of_lehmer(i, ratio)).collect();
+        let mut encode = DetHashMap::default();
+        for (i, &packed) in decode.iter().enumerate() {
+            encode.insert(packed, i as u32);
+        }
         debug_assert_eq!(decode[0], LltEntry::identity(ratio).packed_bits());
         let bits = map.groups() * u64::from(index_bits);
         // Identity is index 0, so the zeroed store *is* the initial state.
@@ -316,6 +294,7 @@ impl LineLocationTable {
             map,
             store,
             decode,
+            encode,
             index_bits,
             ratio,
             swaps: 0,
@@ -387,7 +366,7 @@ impl LineLocationTable {
     /// their index; anything else (reachable only through fault
     /// injection) parks in the override map.
     fn write_packed(&mut self, group: u64, packed: u32) {
-        if let Some(index) = lehmer_of_packed(packed, self.ratio) {
+        if let Some(&index) = self.encode.get(&packed) {
             self.write_index(group, index);
             #[cfg(feature = "faults")]
             self.corrupted.remove(&group);
@@ -485,8 +464,8 @@ impl LineLocationTable {
     }
 
     /// Host bytes actually resident for the table's per-group state (the
-    /// bit-packed index store; the decode LUT is a table-wide constant
-    /// independent of group count).
+    /// bit-packed index store; the decode LUT and its inverse are
+    /// table-wide constants independent of group count).
     pub fn host_resident_bytes(&self) -> u64 {
         self.store.len() as u64 * 8
     }
@@ -599,47 +578,6 @@ mod tests {
                 packed_of_lehmer(0, ratio),
                 LltEntry::identity(ratio).packed_bits()
             );
-        }
-    }
-
-    #[test]
-    fn lehmer_encode_inverts_decode() {
-        for ratio in 2..=8u8 {
-            for i in 0..factorial(ratio) {
-                assert_eq!(
-                    lehmer_of_packed(packed_of_lehmer(i, ratio), ratio),
-                    Some(i),
-                    "index {i} at ratio {ratio}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lehmer_encode_rejects_non_permutations() {
-        for ratio in 2..=8u8 {
-            let identity = LltEntry::identity(ratio).packed_bits();
-            // Every single-bit flip inside the entry's nibbles breaks the
-            // permutation (the fault model's premise).
-            for bit in 0..u32::from(ratio) * 4 {
-                assert_eq!(lehmer_of_packed(identity ^ (1 << bit), ratio), None);
-            }
-            // Two ways on one slot, a slot past the group, stray high bits.
-            assert_eq!(lehmer_of_packed(identity & !0xF0, ratio), None);
-            assert_eq!(lehmer_of_packed(identity | 0xF, ratio), None);
-            if ratio < 8 {
-                let stray = identity | 1 << (u32::from(ratio) * 4);
-                assert_eq!(lehmer_of_packed(stray, ratio), None);
-            }
-        }
-        // Exhaustively over every 3- and 4-nibble word: exactly the
-        // permutations encode, each to its own index.
-        for ratio in [3u8, 4] {
-            let mut indices: Vec<u32> = (0..1u32 << (4 * ratio))
-                .filter_map(|p| lehmer_of_packed(p, ratio))
-                .collect();
-            indices.sort_unstable();
-            assert_eq!(indices, (0..factorial(ratio)).collect::<Vec<_>>());
         }
     }
 

@@ -80,10 +80,10 @@ impl CoreTimeline {
     /// has a fraction; from 2⁵³ on every `f64` is an integer, so `t == q`
     /// up to 2⁶⁴, and above it both forms saturate at `u64::MAX`.
     #[inline]
-    pub fn cycles_for(&self, instructions: u64) -> u64 {
+    pub fn cycles_for(&self, instructions: u64) -> Cycle {
         let q = instructions as f64 / self.ipc;
         let t = q as u64;
-        t.saturating_add(u64::from((t as f64) < q))
+        Cycle::new(t.saturating_add(u64::from((t as f64) < q)))
     }
 
     /// Retires `instructions` at the base IPC.
@@ -94,19 +94,19 @@ impl CoreTimeline {
     /// Retires `instructions` that take `cycles`, as computed beforehand
     /// by [`CoreTimeline::cycles_for`].
     #[inline]
-    pub fn retire(&mut self, instructions: u64, cycles: u64) {
+    pub fn retire(&mut self, instructions: u64, cycles: Cycle) {
         self.instructions += instructions;
-        self.time += Cycle::new(cycles);
+        self.time += cycles;
     }
 
-    /// Predicts when a request following `gap_cycles` more cycles of
-    /// execution (see [`CoreTimeline::cycles_for`]) would issue,
+    /// Predicts when a request following `gap` more cycles of execution
+    /// (see [`CoreTimeline::cycles_for`]) would issue,
     /// accounting for an MLP-window stall — without changing any state.
     /// The runner uses this as its global event-ordering key so that
     /// device accesses are generated in nondecreasing time order.
     #[inline]
-    pub fn projected_issue(&self, gap_cycles: u64) -> Cycle {
-        let t = self.time + Cycle::new(gap_cycles);
+    pub fn projected_issue(&self, gap: Cycle) -> Cycle {
+        let t = self.time + gap;
         match self.outstanding.front() {
             Some(&oldest) if self.outstanding.len() >= self.mlp => t.later(oldest),
             _ => t,
@@ -238,8 +238,8 @@ mod tests {
         let mut c = CoreTimeline::new(1.0, 4);
         c.advance(42);
         let before = c.time();
-        let _ = c.projected_issue(7);
-        let _ = c.projected_issue(7);
+        let _ = c.projected_issue(c.cycles_for(7));
+        let _ = c.projected_issue(c.cycles_for(7));
         assert_eq!(c.time(), before);
         assert_eq!(c.instructions(), 42);
     }
@@ -274,7 +274,7 @@ mod tests {
             });
             for n in ns.into_iter().chain(0..5_000).chain(randoms) {
                 assert_eq!(
-                    c.cycles_for(n),
+                    c.cycles_for(n).raw(),
                     (n as f64 / ipc).ceil() as u64,
                     "n = {n}, ipc = {ipc}"
                 );

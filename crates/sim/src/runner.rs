@@ -26,10 +26,6 @@ struct CoreState<S> {
     stream: S,
     /// The event this core issues next.
     pending: Drawn,
-    /// The event after it, drawn one step early: the draw and its cycle
-    /// count then overlap the following steps instead of delaying the
-    /// next pick of the earliest core.
-    lookahead: Drawn,
 }
 
 /// A drawn miss event with its instruction gap already in cycles, computed
@@ -37,7 +33,7 @@ struct CoreState<S> {
 #[derive(Clone, Copy)]
 struct Drawn {
     event: MissEvent,
-    gap_cycles: u64,
+    gap_cycles: Cycle,
 }
 
 impl Drawn {
@@ -304,12 +300,10 @@ impl<S: MissStream> RunSession<S> {
             .map(|mut stream| {
                 let timeline = CoreTimeline::new(cfg.ipc, cfg.mlp);
                 let pending = Drawn::next(&mut stream, &timeline);
-                let lookahead = Drawn::next(&mut stream, &timeline);
                 CoreState {
                     timeline,
                     stream,
                     pending,
-                    lookahead,
                 }
             })
             .collect();
@@ -437,9 +431,8 @@ impl<S: MissStream> RunSession<S> {
 
             if finished_instructions < self.total_instr {
                 let core = &mut self.cores[idx];
-                core.pending = core.lookahead;
+                core.pending = Drawn::next(&mut core.stream, &core.timeline);
                 self.next_issue[idx] = core.timeline.projected_issue(core.pending.gap_cycles).raw();
-                core.lookahead = Drawn::next(&mut core.stream, &core.timeline);
             } else {
                 self.next_issue[idx] = CORE_DONE;
             }
